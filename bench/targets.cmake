@@ -59,3 +59,32 @@ set_tests_properties(bench_smoke PROPERTIES
   LABELS "bench;obs"
   ENVIRONMENT "CORBAFT_BENCH_SMOKE=1"
   WORKING_DIRECTORY ${CMAKE_BINARY_DIR}/bench)
+
+# Paper-number gate: the full Table 1 and Fig. 3 runs, every virtual number
+# compared with EXPERIMENTS.md (tools/check_paper_numbers.sh).  A build
+# target (`cmake --build build --target paper-gate`) and two ctests under
+# the `paper` label (`ctest -L paper`).  Full runs take tens of seconds
+# each in an optimized build, minutes under the sanitizers, hence the
+# generous timeout.
+set(_corbaft_paper_dir ${CMAKE_BINARY_DIR}/paper)
+file(MAKE_DIRECTORY ${_corbaft_paper_dir})
+set(_corbaft_paper_check ${CMAKE_CURRENT_LIST_DIR}/../tools/check_paper_numbers.sh)
+set(_corbaft_experiments ${CMAKE_CURRENT_LIST_DIR}/../EXPERIMENTS.md)
+add_custom_target(paper-gate
+  COMMAND ${_corbaft_paper_check} table1
+          $<TARGET_FILE:table1_proxy_overhead> ${_corbaft_experiments}
+  COMMAND ${_corbaft_paper_check} fig3
+          $<TARGET_FILE:fig3_load_distribution> ${_corbaft_experiments}
+  WORKING_DIRECTORY ${_corbaft_paper_dir}
+  DEPENDS table1_proxy_overhead fig3_load_distribution
+  VERBATIM)
+add_test(NAME paper_table1
+         COMMAND ${_corbaft_paper_check} table1
+                 $<TARGET_FILE:table1_proxy_overhead> ${_corbaft_experiments})
+add_test(NAME paper_fig3
+         COMMAND ${_corbaft_paper_check} fig3
+                 $<TARGET_FILE:fig3_load_distribution> ${_corbaft_experiments})
+set_tests_properties(paper_table1 paper_fig3 PROPERTIES
+  LABELS paper
+  TIMEOUT 1800
+  WORKING_DIRECTORY ${_corbaft_paper_dir})

@@ -1,11 +1,33 @@
 // Unit tests for the Complex Box optimizer: convergence on standard
-// problems, constraint handling, determinism, resumable state, and
-// serialization.
+// problems, constraint handling, determinism, resumable state,
+// serialization, bit-exact golden trajectories and allocation behaviour.
 #include "opt/complex_box.hpp"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <bit>
+#include <cstdlib>
+#include <new>
+
 #include "opt/rosenbrock.hpp"
+#include "orb/cdr.hpp"
+
+// Counting global allocation functions: AllocationsDoNotGrowWithIterations
+// reads the counter around single complex_box calls.  libstdc++ routes the
+// array and nothrow forms through this one.
+namespace {
+std::atomic<std::uint64_t> g_allocations{0};
+[[gnu::noinline]] void release(void* p) noexcept { std::free(p); }
+}  // namespace
+
+void* operator new(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { release(p); }
+void operator delete(void* p, std::size_t) noexcept { release(p); }
 
 namespace opt {
 namespace {
@@ -156,6 +178,61 @@ TEST(ComplexBox, CorruptStateRejected) {
   EXPECT_THROW(BoxState::deserialize(garbage), corba::MARSHAL);
 }
 
+TEST(ComplexBox, RaggedStateBlobRejected) {
+  // A checkpoint whose rows differ in length: the centroid loop would read
+  // past the short row, so the decoder must refuse it.
+  corba::CdrOutputStream out;
+  out.write_u32(1);  // format version
+  out.write_u32(3);  // points
+  const std::vector<double> full{0.5, -0.5};
+  const std::vector<double> short_row{0.25};
+  out.write_f64_seq(full);
+  out.write_f64_seq(short_row);
+  out.write_f64_seq(full);
+  out.write_f64_seq(std::vector<double>{1.0, 2.0, 3.0});
+  out.write_i64(3);
+  out.write_i32(0);
+  out.write_u64(7);
+  const corba::Blob blob = out.take_buffer();
+  EXPECT_THROW(BoxState::deserialize(blob), corba::MARSHAL);
+}
+
+TEST(ComplexBox, InconsistentResumedStateRejected) {
+  const std::vector<double> lower(2, -1.0);
+  const std::vector<double> upper(2, 1.0);
+  BoxOptions options;
+  options.max_iterations = 10;
+  BoxState valid;
+  complex_box(sphere, lower, upper, options, &valid);
+  ASSERT_EQ(valid.points.size(), 4u);
+
+  BoxState ragged = valid;
+  ragged.points[2].pop_back();
+  EXPECT_THROW(complex_box(sphere, lower, upper, options, &ragged),
+               std::invalid_argument);
+
+  BoxState wrong_dimension = valid;
+  for (auto& point : wrong_dimension.points) point.push_back(0.0);
+  EXPECT_THROW(complex_box(sphere, lower, upper, options, &wrong_dimension),
+               std::invalid_argument);
+
+  BoxState missing_value = valid;
+  missing_value.values.pop_back();
+  EXPECT_THROW(complex_box(sphere, lower, upper, options, &missing_value),
+               std::invalid_argument);
+
+  // Fewer than n+1 points cannot span the space, and a one-point complex
+  // would divide the centroid sum by K-1 = 0.
+  BoxState too_small = valid;
+  too_small.points.resize(2);
+  too_small.values.resize(2);
+  EXPECT_THROW(complex_box(sphere, lower, upper, options, &too_small),
+               std::invalid_argument);
+
+  // The rejected calls left the states untouched; the valid one resumes.
+  EXPECT_NO_THROW(complex_box(sphere, lower, upper, options, &valid));
+}
+
 TEST(ComplexBox, InvalidArgumentsRejected) {
   const std::vector<double> lower(2, -1.0);
   const std::vector<double> upper(2, 1.0);
@@ -186,6 +263,153 @@ TEST(ComplexBox, ZeroIterationBudgetJustInitializes) {
   EXPECT_EQ(result.iterations, 0);
   EXPECT_EQ(result.evaluations, 4);  // complex size 2n
   EXPECT_TRUE(state.initialized());
+}
+
+// --- golden trajectories -----------------------------------------------------
+// Recorded from the original vector-of-rows kernel.  The optimizer must
+// reproduce them bit for bit: Table 1 and Fig. 3 are exact virtual-time
+// results, and any change in rounding (a running-sum centroid, contraction
+// into FMA, reassociation) moves them.
+
+std::uint64_t fnv1a(const corba::Blob& bytes) {
+  std::uint64_t hash = 0xcbf29ce484222325ull;
+  for (std::byte b : bytes) {
+    hash ^= static_cast<std::uint64_t>(b);
+    hash *= 0x100000001b3ull;
+  }
+  return hash;
+}
+
+struct Golden {
+  std::uint64_t best_value_bits;
+  std::int64_t evaluations;
+  int iterations;
+  std::uint64_t state_digest;  ///< FNV-1a of BoxState::serialize()
+};
+
+void expect_golden(const BoxResult& result, const BoxState& state,
+                   const Golden& golden) {
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(result.best_value),
+            golden.best_value_bits)
+      << "best_value " << result.best_value;
+  EXPECT_EQ(result.evaluations, golden.evaluations);
+  EXPECT_EQ(result.iterations, golden.iterations);
+  EXPECT_EQ(fnv1a(state.serialize()), golden.state_digest);
+}
+
+TEST(ComplexBoxGolden, WorkerBlockWithWarmStartedResumes) {
+  // Block 0 of the paper's 100/7 instance (14 variables), solved the way
+  // OptWorkerServant does: a fresh call, then three resumes after the
+  // manager moved the coupling values, each re-valuing the kept complex.
+  const Decomposition decomposition = Decomposition::make(100, 7);
+  const Block& block = decomposition.block(0);
+  ASSERT_EQ(block.dimension, 14);
+  const std::vector<double> lower(14, -5.0);
+  const std::vector<double> upper(14, 5.0);
+  std::vector<double> coupling(6, 0.5);
+  const Objective objective = [&](std::span<const double> x) {
+    return decomposition.block_objective(block, x, coupling);
+  };
+
+  BoxState state;
+  BoxResult result;
+  for (int call = 0; call < 4; ++call) {
+    if (state.initialized())
+      for (std::size_t p = 0; p < state.points.size(); ++p)
+        state.values[p] = objective(state.points[p]);
+    BoxOptions options;
+    options.max_iterations = 2000;
+    options.seed = 100 + static_cast<std::uint64_t>(call);
+    result = complex_box(objective, lower, upper, options, &state);
+    for (double& c : coupling) c = 0.8 * c + 0.1 * call;
+  }
+  EXPECT_EQ(state.total_iterations, 8000);
+  expect_golden(result, state,
+                {4616288822767656535ull, 2934, 2000, 14972142568173524325ull});
+}
+
+TEST(ComplexBoxGolden, ManagerShapedRun) {
+  // The 100/7 manager problem is 6-dimensional; a chained Rosenbrock
+  // stands in for the worker round behind each evaluation.
+  const std::vector<double> lower(6, -5.0);
+  const std::vector<double> upper(6, 5.0);
+  BoxOptions options;
+  options.max_iterations = 300;
+  options.seed = 1;
+  BoxState state;
+  const BoxResult result = complex_box(
+      [](std::span<const double> c) { return rosenbrock(c); }, lower, upper,
+      options, &state);
+  expect_golden(result, state,
+                {4616852359007595593ull, 512, 300, 2079676174189514953ull});
+}
+
+TEST(ComplexBoxGolden, CollapseRestartsAndGuinPulls) {
+  // Long Rosenbrock runs: the complex collapses in the valley (25 restarts
+  // each) and reflections through its curved floor fail often enough to
+  // need pulls toward the best point (5 in 2-D).  With one contraction
+  // allowed, the 3-D run pulls 400 times and 17 times ends on the best
+  // point itself.
+  struct Case {
+    int n;
+    int iterations;
+    int max_contractions;
+    Golden golden;
+  };
+  for (const Case& c :
+       {Case{2, 5000, 6, {0ull, 6130, 5000, 6001696965176182893ull}},
+        Case{3, 3000, 1,
+             {4148941156715069440ull, 5067, 3000, 4569391281475488756ull}}}) {
+    SCOPED_TRACE(c.n);
+    const std::vector<double> lower(static_cast<std::size_t>(c.n), -2.048);
+    const std::vector<double> upper(static_cast<std::size_t>(c.n), 2.048);
+    BoxOptions options;
+    options.max_iterations = c.iterations;
+    options.max_contractions = c.max_contractions;
+    options.seed = 3;
+    BoxState state;
+    const BoxResult result = complex_box(
+        [](std::span<const double> x) { return rosenbrock(x); }, lower, upper,
+        options, &state);
+    expect_golden(result, state, c.golden);
+  }
+}
+
+TEST(ComplexBoxGolden, ComplexSizeOverride) {
+  const std::vector<double> lower(5, -3.0);
+  const std::vector<double> upper(5, 3.0);
+  for (int complex_size : {6, 17}) {
+    BoxOptions options;
+    options.max_iterations = 1500;
+    options.complex_size = complex_size;
+    options.seed = 9;
+    BoxState state;
+    const BoxResult result = complex_box(
+        [](std::span<const double> x) { return rosenbrock(x); }, lower, upper,
+        options, &state);
+    ASSERT_EQ(state.points.size(), static_cast<std::size_t>(complex_size));
+    expect_golden(
+        result, state,
+        complex_size == 6
+            ? Golden{4616033882305695462ull, 2523, 1500, 11568591687273143177ull}
+            : Golden{4455721462719414964ull, 2569, 1500, 351969349723328195ull});
+  }
+}
+
+TEST(ComplexBox, AllocationsDoNotGrowWithIterations) {
+  const std::vector<double> lower(14, -5.0);
+  const std::vector<double> upper(14, 5.0);
+  auto allocations_for = [&](int iterations, bool resume) {
+    BoxOptions options;
+    options.max_iterations = iterations;
+    BoxState state;
+    if (resume) complex_box(sphere, lower, upper, options, &state);
+    const std::uint64_t before = g_allocations.load();
+    complex_box(sphere, lower, upper, options, &state);
+    return g_allocations.load() - before;
+  };
+  EXPECT_EQ(allocations_for(100, false), allocations_for(2000, false));
+  EXPECT_EQ(allocations_for(100, true), allocations_for(2000, true));
 }
 
 }  // namespace
