@@ -1,9 +1,9 @@
 // Server-side dispatch thread pool.
 //
-// Decouples socket reads from servant execution: a receive loop per
-// connection enqueues decoded requests and N workers dispatch them, so one
-// slow method no longer blocks every other request behind it (head-of-line
-// blocking) — only requests for the *same* object wait on each other.
+// Decouples socket reads from servant execution: the reactor's I/O loops
+// enqueue decoded requests and N workers dispatch them, so one slow method
+// does not block every other request behind it (head-of-line blocking) —
+// only requests for the *same* object wait on each other.
 //
 // Ordering contract: requests are executed FIFO **per object key**, one at a
 // time per key, preserving the single-threaded servant semantics the rest of
@@ -13,11 +13,12 @@
 // unconstrained, which is why replies carry request ids (the client transport
 // demuxes them; see tcp_transport.hpp).
 //
-// The queue is bounded: submit() blocks when `queue_limit` requests are
-// in the pool (queued + executing).  Blocking the connection's receive loop
-// is deliberate — it stops reading the socket, TCP flow control pushes back
-// to the sender, and an overloaded server degrades into backpressure instead
-// of unbounded memory growth.
+// The queue is bounded: try_submit() refuses work once `queue_limit`
+// requests are in the pool (queued + executing) and rings the space
+// callback when capacity frees up.  The reactor answers a refusal by
+// parking the request and no longer reading that connection — TCP flow
+// control pushes back to the sender, and an overloaded server degrades into
+// backpressure instead of unbounded memory growth.
 #pragma once
 
 #include <condition_variable>
@@ -38,8 +39,8 @@ class DispatchPool {
   struct Options {
     /// Worker thread count (>= 1).
     std::size_t threads = 4;
-    /// Maximum requests in the pool (queued + executing) before submit()
-    /// blocks.
+    /// Maximum requests in the pool (queued + executing) before try_submit()
+    /// refuses work.
     std::size_t queue_limit = 1024;
   };
 
@@ -57,15 +58,10 @@ class DispatchPool {
   DispatchPool(const DispatchPool&) = delete;
   DispatchPool& operator=(const DispatchPool&) = delete;
 
-  /// Enqueues a request.  `done` may be empty (oneway).  Blocks while the
-  /// pool is at queue_limit; throws BAD_INV_ORDER after stop().
-  void submit(RequestMessage request, Completion done);
-
-  /// Non-blocking submit for callers that must never park a thread (the
-  /// reactor's I/O loops): returns false — leaving `request`/`done`
-  /// untouched — when the pool is at queue_limit, and arms the space
-  /// callback so the caller is poked once capacity frees up.  Throws
-  /// BAD_INV_ORDER after stop().
+  /// Enqueues a request without ever blocking.  `done` may be empty
+  /// (oneway).  Returns false — leaving `request`/`done` untouched — when
+  /// the pool is at queue_limit, and arms the space callback so the caller
+  /// is poked once capacity frees up.  Throws BAD_INV_ORDER after stop().
   bool try_submit(RequestMessage& request, Completion& done);
 
   /// Installs the capacity notification used by try_submit: invoked (at
@@ -112,8 +108,7 @@ class DispatchPool {
   Dispatch dispatch_;
 
   mutable std::mutex mu_;
-  std::condition_variable work_cv_;   ///< workers wait for runnable keys
-  std::condition_variable space_cv_;  ///< submitters wait for capacity
+  std::condition_variable work_cv_;  ///< workers wait for runnable keys
   std::unordered_map<ObjectKey, KeyQueue, ObjectKeyHash> keys_;
   /// Keys with a runnable (not currently executing) head job, FIFO.
   std::deque<ObjectKey> ready_;

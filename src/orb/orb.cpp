@@ -106,7 +106,6 @@ void ORB::start() {
   profile.adapter_id = config_.adapter_id;
   if (config_.enable_tcp) {
     TcpServerOptions server_options;
-    server_options.reactor = config_.reactor;
     server_options.io_threads = config_.io_threads;
     server_options.listen_backlog = config_.listen_backlog;
     server_options.idle_timeout_s = config_.server_idle_timeout_s;
@@ -138,8 +137,8 @@ ORB::~ORB() { shutdown(); }
 
 void ORB::shutdown() {
   if (shut_down_.exchange(true)) return;
-  // Receive loops first (they may be blocked on pool backpressure, which the
-  // still-running pool resolves), then drain the pool itself.
+  // The reactor first, so no new requests reach the pool, then drain the
+  // pool itself.
   if (tcp_server_) tcp_server_->stop();
   if (adapter_) adapter_->stop_dispatch_pool();
   if (config_.network) config_.network->unbind(config_.endpoint_name);

@@ -1,9 +1,9 @@
 // Reactor receive-path tests: incremental frame assembly (byte-dribbled and
-// interleaved partial frames), loss of a frame mid-assembly, partial reply
-// writes drained on EPOLLOUT against a slow reader, dispatch-queue
+// interleaved partial frames), loss of a frame mid-assembly, read buffers
+// that grow with received bytes rather than declared frame lengths, partial
+// reply writes drained on EPOLLOUT against a slow reader, dispatch-queue
 // back-pressure (stalled connections resume instead of dropping requests),
-// idle-connection harvesting, and the legacy thread-per-connection mode kept
-// behind OrbConfig::reactor = false.
+// idle-connection harvesting, and sessions carried across reconnects.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <fstream>
 #include <span>
 #include <string>
 #include <thread>
@@ -29,7 +30,6 @@ namespace {
 
 using namespace std::chrono_literals;
 using corbaft_test::CalcServant;
-using corbaft_test::CalcStub;
 
 std::uint64_t counter_value(const char* name) {
   return obs::MetricsRegistry::global().counter(name).value();
@@ -54,10 +54,19 @@ std::vector<std::byte> encode_request(const RequestMessage& req) {
 ReplyMessage recv_reply(Socket& socket, double timeout_s = 10.0) {
   MessageHeader header;
   std::vector<std::byte> body;
-  if (!socket.recv_frame(header, body, nullptr, timeout_s))
+  if (!socket.recv_frame(header, body, timeout_s))
     throw COMM_FAILURE("peer closed while a reply was expected");
   CdrInputStream in(body, header.byte_order);
   return ReplyMessage::decode_body(in);
+}
+
+/// Resident set size of this process, from /proc/self/status (KiB).
+long resident_kib() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line))
+    if (line.rfind("VmRSS:", 0) == 0) return std::stol(line.substr(6));
+  return -1;
 }
 
 /// Servant that holds every call for a fixed delay (back-pressure tests).
@@ -147,6 +156,29 @@ TEST_F(ReactorTest, FrameLostMidAssemblyDoesNotWedgeTheServer) {
   Socket socket = Socket::connect("127.0.0.1", server_->tcp_port());
   socket.send_bytes(encode_request(make_add_request(target_.ior(), 4, 2, 3)));
   EXPECT_EQ(recv_reply(socket).result_or_throw().as_i32(), 5);
+}
+
+TEST_F(ReactorTest, DeclaredBodyLengthDoesNotReserveMemory) {
+  // A header's body_length is untrusted until the body arrives: one 12-byte
+  // header declaring a 256 MiB body, then silence, must cost the server the
+  // bytes actually received — not the declared size.
+  const long before_kib = resident_kib();
+  ASSERT_GT(before_kib, 0);
+  MessageHeader header;
+  header.type = MessageType::request;
+  header.body_length = 256u << 20;
+  Socket socket = Socket::connect("127.0.0.1", server_->tcp_port());
+  socket.send_bytes(header.encode());
+  std::this_thread::sleep_for(300ms);  // the connection stays open meanwhile
+  const long growth_kib = resident_kib() - before_kib;
+  EXPECT_LT(growth_kib, 32 * 1024)
+      << "server memory grew by " << growth_kib / 1024
+      << " MiB for a 12-byte header";
+
+  // The half-announced frame only holds up its own connection.
+  Socket other = Socket::connect("127.0.0.1", server_->tcp_port());
+  other.send_bytes(encode_request(make_add_request(target_.ior(), 9, 4, 5)));
+  EXPECT_EQ(recv_reply(other).result_or_throw().as_i32(), 9);
 }
 
 TEST_F(ReactorTest, PipelinedBurstRepliesInOrder) {
@@ -260,7 +292,7 @@ TEST(ReactorBackPressureTest, StalledRequestSurvivesDisconnectViaSessionReplay) 
     socket.send_bytes(encode_frame(MessageType::session_hello, hello_body));
     MessageHeader header;
     std::vector<std::byte> body;
-    ASSERT_TRUE(socket.recv_frame(header, body, nullptr, 5.0));
+    ASSERT_TRUE(socket.recv_frame(header, body, 5.0));
     ASSERT_EQ(header.type, MessageType::session_accept);
     CdrInputStream in(body, header.byte_order);
     const SessionAccept accept = SessionAccept::decode_body(in);
@@ -292,7 +324,7 @@ TEST(ReactorBackPressureTest, StalledRequestSurvivesDisconnectViaSessionReplay) 
   socket.send_bytes(encode_frame(MessageType::session_hello, hello_body));
   MessageHeader header;
   std::vector<std::byte> body;
-  ASSERT_TRUE(socket.recv_frame(header, body, nullptr, 5.0));
+  ASSERT_TRUE(socket.recv_frame(header, body, 5.0));
   ASSERT_EQ(header.type, MessageType::session_accept);
   CdrInputStream in(body, header.byte_order);
   const SessionAccept accept = SessionAccept::decode_body(in);
@@ -311,8 +343,8 @@ TEST(ReactorBackPressureTest, StalledRequestSurvivesDisconnectViaSessionReplay) 
 TEST(ReactorProtocolTest, UnknownMessageTypeStopsProcessingBufferedFrames) {
   // Regression: when the message_error answer to an unexpected frame type
   // had to be queued behind deferred reply writes, the reactor kept parsing
-  // and dispatched valid requests buffered after the bad frame.  The legacy
-  // loop stops processing input after a bad frame; the reactor must match.
+  // and dispatched valid requests buffered after the bad frame.  After a bad
+  // frame the stream is no longer trusted, so nothing behind it may run.
   auto server = ORB::init(
       {.endpoint_name = "reactor-badframe", .enable_tcp = true, .io_threads = 1});
   auto servant = std::make_shared<CalcServant>();
@@ -349,9 +381,9 @@ TEST(ReactorProtocolTest, UnknownMessageTypeStopsProcessingBufferedFrames) {
   }
   MessageHeader header;
   std::vector<std::byte> body;
-  ASSERT_TRUE(socket.recv_frame(header, body, nullptr, 10.0));
+  ASSERT_TRUE(socket.recv_frame(header, body, 10.0));
   EXPECT_EQ(header.type, MessageType::message_error);
-  EXPECT_FALSE(socket.recv_frame(header, body, nullptr, 10.0))
+  EXPECT_FALSE(socket.recv_frame(header, body, 10.0))
       << "connection must close after message_error";
   std::this_thread::sleep_for(50ms);
   EXPECT_EQ(servant->calls(), kEchoes)
@@ -375,7 +407,7 @@ TEST(ReactorIdleHarvestTest, IdleConnectionsAreClosedAfterTheTimeout) {
   // server side (recv sees EOF, not a timeout).
   MessageHeader header;
   std::vector<std::byte> body;
-  EXPECT_FALSE(socket.recv_frame(header, body, nullptr, 5.0));
+  EXPECT_FALSE(socket.recv_frame(header, body, 5.0));
   EXPECT_GT(counter_value("transport.tcp.reactor.idle_harvested_total"),
             harvested_before);
 }
@@ -398,25 +430,6 @@ TEST(ReactorSessionTest, SessionsResumeOntoReactorCarrier) {
         transport.invoke(ior, make_add_request(ior, i, static_cast<int>(i), 1));
     EXPECT_EQ(reply.result_or_throw().as_i32(), static_cast<int>(i) + 1);
   }
-}
-
-TEST(ReactorLegacyModeTest, ThreadPerConnectionPathStillServes) {
-  // OrbConfig::reactor = false keeps the blocking receive loops as the bench
-  // baseline; typed calls and sessions behave identically.
-  auto server = ORB::init(
-      {.endpoint_name = "legacy-server", .enable_tcp = true, .reactor = false});
-  auto client = ORB::init({.endpoint_name = "legacy-client",
-                           .enable_tcp = true,
-                           .reactor = false});
-  const ObjectRef target = server->activate(std::make_shared<CalcServant>());
-  CalcStub calc(client->make_ref(target.ior()));
-  EXPECT_EQ(calc.add(40, 2), 42);
-  EXPECT_EQ(calc.echo("legacy"), "legacy");
-
-  TcpClientTransport transport(TcpClientOptions{.enable_sessions = true});
-  const IOR ior = target.ior();
-  const ReplyMessage reply = transport.invoke(ior, make_add_request(ior, 1, 2, 3));
-  EXPECT_EQ(reply.result_or_throw().as_i32(), 5);
 }
 
 TEST(ReactorLifecycleTest, PortReleasedAndRestartableInReactorMode) {

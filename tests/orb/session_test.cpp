@@ -251,7 +251,7 @@ class Relay {
     EXPECT_EQ(::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr),
                             &len), 0);
     port_ = ntohs(addr.sin_port);
-    acceptor_ = std::thread([this] { accept_loop(); });
+    acceptor_ = std::thread([this] { accept_clients(); });
   }
 
   ~Relay() { stop(); }
@@ -290,7 +290,7 @@ class Relay {
   }
 
  private:
-  void accept_loop() {
+  void accept_clients() {
     for (;;) {
       const int client_fd = ::accept(listen_fd_, nullptr, nullptr);
       if (client_fd < 0) {
