@@ -183,7 +183,15 @@ struct SweepPoint {
   double p50_s = 0.0;
   double p99_s = 0.0;
   double mean_s = 0.0;
+  /// Syscall batching, from the transport's counters: replies written per
+  /// server sendmsg, and client recv calls per reply.
+  double replies_per_flush = 0.0;
+  double reads_per_reply = 0.0;
 };
+
+std::uint64_t counter_value(const char* name) {
+  return obs::MetricsRegistry::global().counter(name).value();
+}
 
 /// One (clients, depth) cell: every client thread drives its OWN echo
 /// servant (distinct object keys, so the server's FIFO-per-key guarantee
@@ -200,6 +208,10 @@ SweepPoint run_sweep_point(int clients, int depth, int calls_per_client) {
   const corba::Value payload(std::vector<double>(16, 1.0));
 
   bench::LatencyRecorder latency("bench.multiplex_rpc");
+  const std::uint64_t flushes0 =
+      counter_value("transport.tcp.reply_flushes_total");
+  const std::uint64_t reads0 =
+      counter_value("transport.tcp.client_reads_total");
   const auto t0 = clock::now();
   std::vector<std::thread> threads;
   for (int c = 0; c < clients; ++c) {
@@ -241,6 +253,9 @@ SweepPoint run_sweep_point(int clients, int depth, int calls_per_client) {
   for (auto& thread : threads) thread.join();
   const double wall =
       std::chrono::duration<double>(clock::now() - t0).count();
+  const auto flushes =
+      counter_value("transport.tcp.reply_flushes_total") - flushes0;
+  const auto reads = counter_value("transport.tcp.client_reads_total") - reads0;
 
   SweepPoint point;
   point.mode = "multiplexed";
@@ -253,6 +268,10 @@ SweepPoint run_sweep_point(int clients, int depth, int calls_per_client) {
   point.p50_s = latency.quantile(0.5);
   point.p99_s = latency.quantile(0.99);
   point.mean_s = latency.mean();
+  point.replies_per_flush =
+      flushes > 0 ? static_cast<double>(point.calls) / flushes : 0.0;
+  point.reads_per_reply =
+      static_cast<double>(reads) / static_cast<double>(point.calls);
   return point;
 }
 
@@ -264,19 +283,21 @@ void run_multiplex_sweep() {
   const std::vector<int> depths = {1, 8};
 
   std::printf("\nM-mux — TCP transport: concurrent clients x pipeline depth\n");
-  std::printf("%-12s %8s %6s %10s %12s %10s %10s\n", "mode", "clients",
-              "depth", "calls", "rps", "p50_us", "p99_us");
-  bench::print_rule(74);
+  std::printf("%-12s %8s %6s %10s %12s %10s %10s %10s %10s\n", "mode",
+              "clients", "depth", "calls", "rps", "p50_us", "p99_us",
+              "rep/flush", "reads/rep");
+  bench::print_rule(96);
 
   std::vector<SweepPoint> points;
   std::vector<bench::JsonRow> rows;
   for (const int clients : client_counts) {
     for (const int depth : depths) {
       const SweepPoint p = run_sweep_point(clients, depth, calls_per_client);
-      std::printf("%-12s %8d %6d %10llu %12.0f %10.1f %10.1f\n",
+      std::printf("%-12s %8d %6d %10llu %12.0f %10.1f %10.1f %10.2f %10.2f\n",
                   p.mode.c_str(), p.clients, p.depth,
                   static_cast<unsigned long long>(p.calls), p.throughput_rps,
-                  p.p50_s * 1e6, p.p99_s * 1e6);
+                  p.p50_s * 1e6, p.p99_s * 1e6, p.replies_per_flush,
+                  p.reads_per_reply);
       rows.push_back({bench::jstr("mode", p.mode),
                       bench::jint("clients", std::uint64_t(p.clients)),
                       bench::jint("depth", std::uint64_t(p.depth)),
@@ -285,7 +306,10 @@ void run_multiplex_sweep() {
                       bench::jnum("throughput_rps", p.throughput_rps),
                       bench::jnum("p50_s", p.p50_s),
                       bench::jnum("p99_s", p.p99_s),
-                      bench::jnum("mean_s", p.mean_s)});
+                      bench::jnum("mean_s", p.mean_s),
+                      bench::jnum("replies_per_flush", p.replies_per_flush),
+                      bench::jnum("client_reads_per_reply",
+                                  p.reads_per_reply)});
       points.push_back(p);
     }
   }

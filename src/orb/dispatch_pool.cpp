@@ -134,6 +134,7 @@ void DispatchPool::worker_loop() {
     if (ready_.empty()) return;  // stopping and fully drained
     ObjectKey key = std::move(ready_.front());
     ready_.pop_front();
+    const bool backlog = !ready_.empty();
     auto it = keys_.find(key);
     Job job = std::move(it->second.waiting.front());
     it->second.waiting.pop_front();
@@ -152,7 +153,7 @@ void DispatchPool::worker_loop() {
     ReplyMessage reply = dispatch_(job.request);
     if (job.request.response_expected && job.done) {
       try {
-        job.done(std::move(reply));
+        job.done(std::move(reply), backlog);
       } catch (...) {
         // Completion failures (connection torn down mid-dispatch) are the
         // client's COMM_FAILURE to observe, not the pool's problem.

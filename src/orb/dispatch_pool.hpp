@@ -50,7 +50,10 @@ class DispatchPool {
 
   /// Invoked with the reply on a worker thread; exceptions are swallowed
   /// (a completion writing to a dead connection is normal during teardown).
-  using Completion = std::function<void(ReplyMessage)>;
+  /// `backlog` is true when other jobs were runnable as this one was picked
+  /// up: more replies are about to follow, so the reply may be queued for a
+  /// batched write instead of written at once.
+  using Completion = std::function<void(ReplyMessage, bool backlog)>;
 
   DispatchPool(Options options, Dispatch dispatch);
   ~DispatchPool();

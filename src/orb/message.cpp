@@ -356,11 +356,38 @@ std::vector<std::byte> encode_frame(MessageType type,
   if (body.size() > UINT32_MAX) throw MARSHAL("message body too large");
   header.body_length = static_cast<std::uint32_t>(body.size());
   const auto head = header.encode();
-  std::vector<std::byte> frame;
-  frame.reserve(head.size() + body.size());
-  frame.insert(frame.end(), head.begin(), head.end());
-  frame.insert(frame.end(), body.buffer().begin(), body.buffer().end());
+  std::vector<std::byte> frame(head.size() + body.size());
+  std::copy(head.begin(), head.end(), frame.begin());
+  std::copy(body.buffer().begin(), body.buffer().end(),
+            frame.begin() + static_cast<std::ptrdiff_t>(head.size()));
   return frame;
+}
+
+std::span<std::byte> FrameBuffer::prepare() {
+  // Whole frames are taken before more bytes are read, so what is left is
+  // at most one partial frame: moving it to the front is cheap, and each
+  // byte moves at most once.
+  if (pos_ > 0) {
+    std::memmove(buf_.data(), buf_.data() + pos_, len_ - pos_);
+    len_ -= pos_;
+    pos_ = 0;
+  }
+  if (buf_.size() - len_ < kReadChunk) buf_.resize(len_ + kReadChunk);
+  return {buf_.data() + len_, buf_.size() - len_};
+}
+
+bool FrameBuffer::next(MessageHeader& header,
+                       std::span<const std::byte>& body) {
+  const std::size_t avail = len_ - pos_;
+  if (avail < MessageHeader::kEncodedSize) return false;
+  header = MessageHeader::decode(std::span<const std::byte>(
+      buf_.data() + pos_, MessageHeader::kEncodedSize));
+  const std::size_t frame_size =
+      MessageHeader::kEncodedSize + header.body_length;
+  if (avail < frame_size) return false;
+  body = {buf_.data() + pos_ + MessageHeader::kEncodedSize, header.body_length};
+  pos_ += frame_size;
+  return true;
 }
 
 }  // namespace corba

@@ -11,6 +11,7 @@
 #include <array>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -237,6 +238,39 @@ class FrameBuilder {
  private:
   MessageType type_;
   CdrOutputStream stream_;
+};
+
+/// Incremental frame assembler for a byte stream (both ends of the TCP
+/// transport).  Bytes land in the tail handed out by prepare(); next() hands
+/// out each complete frame as a span into the buffer.  Memory follows the
+/// bytes received: the buffer grows only in bounded steps as bytes arrive,
+/// never to a header's (untrusted) declared length, and drops consumed
+/// frames by itself.
+class FrameBuffer {
+ public:
+  /// Free tail space for the next read, at least kReadChunk bytes.  Spans
+  /// returned by next() are invalid afterwards.
+  std::span<std::byte> prepare();
+  /// Marks `n` bytes of the prepare()d tail as received.
+  void commit(std::size_t n) noexcept { len_ += n; }
+
+  /// Consumes the next complete frame: fills `header` and points `body` at
+  /// its bytes (valid until the next prepare() or discard()).  Returns false
+  /// while the next frame is incomplete; throws MARSHAL on a bad header.
+  bool next(MessageHeader& header, std::span<const std::byte>& body);
+
+  /// Bytes received but not yet consumed (a partial frame, or whole frames
+  /// not yet taken).
+  std::size_t pending() const noexcept { return len_ - pos_; }
+  /// Drops every unconsumed byte (a stream that lost framing or its socket).
+  void discard() noexcept { pos_ = len_ = 0; }
+
+  static constexpr std::size_t kReadChunk = 16 * 1024;
+
+ private:
+  std::vector<std::byte> buf_;
+  std::size_t len_ = 0;  ///< valid bytes in buf_
+  std::size_t pos_ = 0;  ///< start of the first unconsumed frame
 };
 
 }  // namespace corba

@@ -7,9 +7,11 @@
 #include <sys/resource.h>
 #include <sys/socket.h>
 #include <sys/timerfd.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -37,6 +39,10 @@ struct ReactorMetrics {
       "transport.tcp.reactor.events_total");
   obs::Counter& deferred_writes = obs::MetricsRegistry::global().counter(
       "transport.tcp.reactor.deferred_writes_total");
+  /// sendmsg calls on server connections: replies per flush is
+  /// replies written / this.
+  obs::Counter& reply_flushes = obs::MetricsRegistry::global().counter(
+      "transport.tcp.reply_flushes_total");
   obs::Counter& idle_harvested = obs::MetricsRegistry::global().counter(
       "transport.tcp.reactor.idle_harvested_total");
   obs::Gauge& registered = obs::MetricsRegistry::global().gauge(
@@ -64,8 +70,6 @@ double monotonic_seconds() {
       .count();
 }
 
-/// recv() granularity per syscall.
-constexpr std::size_t kReadChunk = 16 * 1024;
 /// Per-connection byte cap per epoll wake: a firehose client cannot starve
 /// its loop siblings (level-triggered EPOLLIN re-fires for the rest).
 constexpr std::size_t kMaxReadPerWake = 256 * 1024;
@@ -73,8 +77,21 @@ constexpr std::size_t kMaxReadPerWake = 256 * 1024;
 constexpr double kAcceptBackoffS = 0.1;
 /// Deadline-wheel sentinel "fd" for re-arming the listen socket.
 constexpr int kListenRearmFd = -2;
-/// Compact the read buffer once this much parsed prefix accumulates.
-constexpr std::size_t kCompactThreshold = 64 * 1024;
+/// Queued frames written per sendmsg call.
+constexpr std::size_t kMaxIov = 64;
+
+/// Encodes `reply` straight into its frame: one buffer, sized before the
+/// header placeholder is written, and no separately encoded body to copy.
+/// The estimate counts the header but not CDR alignment padding; counting
+/// the header once more (the capacity FrameBuilder::body().reserve gives)
+/// leaves room for a few bytes of padding.
+std::vector<std::byte> encode_reply_frame(const ReplyMessage& reply) {
+  std::vector<std::byte> buffer;
+  buffer.reserve(MessageHeader::kEncodedSize + reply.encoded_size_estimate());
+  FrameBuilder frame(MessageType::reply, std::move(buffer));
+  reply.encode_body(frame.body());
+  return frame.finish();
+}
 
 }  // namespace
 
@@ -84,7 +101,7 @@ constexpr std::size_t kCompactThreshold = 64 * 1024;
 /// completion threads under `wmu`.  Completions and the session's carrier
 /// hold it shared: the socket stays open until the last queued reply for
 /// the connection has been written (or dropped).
-class ReactorConn final {
+class ReactorConn final : public std::enable_shared_from_this<ReactorConn> {
  public:
   ReactorConn(int fd, Reactor* reactor, std::size_t loop_index)
       : fd_(fd), reactor_(reactor), loop_index_(loop_index) {}
@@ -101,20 +118,32 @@ class ReactorConn final {
   /// any single caller) reach the wire in call order.  A failure marks the
   /// connection dead instead of throwing: completions run on dispatch-pool
   /// threads where there is nobody to catch.
-  void send_frame_bytes(std::vector<std::byte> bytes) noexcept {
+  ///
+  /// `hold` (more replies are about to follow) queues the frame without a
+  /// syscall and lists the connection on its loop, which writes the whole
+  /// queue with one sendmsg after its current event batch.  A held frame
+  /// waits for the I/O loop to run, never for another servant.  Once the
+  /// reactor has stopped there is no loop to list on, and the frame is
+  /// written at once.
+  void send_frame_bytes(std::vector<std::byte> bytes,
+                        bool hold = false) noexcept {
     std::lock_guard lock(wmu_);
     if (dead_.load(std::memory_order_acquire)) return;
     wq_.push_back(std::move(bytes));
+    if (hold && (flush_listed_ ||
+                 reactor_->list_flush(loop_index_, shared_from_this()))) {
+      flush_listed_ = true;
+      return;
+    }
     flush_locked();
   }
 
-  /// Encodes and queues a sessionless reply.  (The session path goes
-  /// through write_session_reply, which pre-encodes for the replay buffer.)
-  void write_reply(const ReplyMessage& reply) noexcept {
+  /// Encodes a sessionless reply straight into its frame and queues it.
+  /// (The session path goes through write_session_reply, which keeps a copy
+  /// for the replay buffer.)
+  void write_reply(const ReplyMessage& reply, bool hold) noexcept {
     try {
-      CdrOutputStream body;
-      reply.encode_body(body);
-      send_frame_bytes(encode_frame(MessageType::reply, body));
+      send_frame_bytes(encode_reply_frame(reply), hold);
     } catch (...) {
       // Encoding failed: nothing sensible to do from a completion thread.
     }
@@ -137,17 +166,23 @@ class ReactorConn final {
   friend class Reactor;
 
   /// Drains the pending-write queue until empty or the socket would block
-  /// (then arms EPOLLOUT).  Call with wmu_ held.
+  /// (then arms EPOLLOUT), up to kMaxIov queued frames per sendmsg.  Call
+  /// with wmu_ held.
   void flush_locked() noexcept {
     while (!wq_.empty()) {
-      const std::vector<std::byte>& head = wq_.front();
-      while (woff_ < head.size()) {
-        const ssize_t n = ::send(fd_, head.data() + woff_, head.size() - woff_,
-                                 MSG_NOSIGNAL);
-        if (n >= 0) {
-          woff_ += static_cast<std::size_t>(n);
-          continue;
-        }
+      std::array<iovec, kMaxIov> iov;
+      std::size_t count = 0;
+      for (auto it = wq_.begin(); it != wq_.end() && count < kMaxIov;
+           ++it, ++count) {
+        const std::size_t skip = count == 0 ? woff_ : 0;
+        iov[count] = {it->data() + skip, it->size() - skip};
+      }
+      msghdr msg{};
+      msg.msg_iov = iov.data();
+      msg.msg_iovlen = count;
+      const ssize_t n = ::sendmsg(fd_, &msg, MSG_NOSIGNAL);
+      reactor_metrics().reply_flushes.inc();
+      if (n < 0) {
         if (errno == EINTR) continue;
         if (errno == EAGAIN || errno == EWOULDBLOCK) {
           if (!want_write_) {
@@ -160,8 +195,18 @@ class ReactorConn final {
         mark_dead_locked();
         return;
       }
-      woff_ = 0;
-      wq_.pop_front();
+      // Retire every frame the write finished; a partial one keeps its
+      // offset for the next call.
+      for (auto left = static_cast<std::size_t>(n); left > 0;) {
+        const std::size_t head_left = wq_.front().size() - woff_;
+        if (left < head_left) {
+          woff_ += left;
+          break;
+        }
+        left -= head_left;
+        woff_ = 0;
+        wq_.pop_front();
+      }
     }
     touch();
     if (want_write_) {
@@ -198,9 +243,7 @@ class ReactorConn final {
   int epfd_ = -1;  ///< set at registration, before any writer can see us
 
   // --- read side: owning I/O thread only ------------------------------------
-  std::vector<std::byte> rbuf_;
-  std::size_t rlen_ = 0;  ///< valid bytes in rbuf_
-  std::size_t rpos_ = 0;  ///< parse offset
+  FrameBuffer rbuf_;
   std::shared_ptr<ServerSession> session_;
   std::optional<StalledJob> stalled_;
   /// Set after answering an unknown message type with message_error: any
@@ -217,6 +260,8 @@ class ReactorConn final {
   bool want_write_ = false;
   bool close_after_flush_ = false;
   bool registered_ = false;
+  /// On the loop's flush list: held frames already have a flush coming.
+  bool flush_listed_ = false;
   std::atomic<bool> dead_{false};
   std::atomic<double> last_activity_{0.0};
 };
@@ -227,22 +272,21 @@ namespace {
 /// and writes it to the session's *current* carrier (which may have changed
 /// since the request arrived — a completion finishing after a resume lands
 /// on the new socket), falling back to the connection the request came in
-/// on.  Holding the session mutex across assignment and write keeps reply
+/// on.  Holding the session mutex across assignment and queueing keeps reply
 /// wire order equal to reply seq order per session — the client's cumulative
-/// highest-reply bookkeeping (and therefore replay) depends on it.
+/// highest-reply bookkeeping (and therefore replay) depends on it.  `hold`
+/// as in ReactorConn::send_frame_bytes.
 void write_session_reply(const std::shared_ptr<ServerSession>& session,
                          const std::shared_ptr<ReactorConn>& fallback,
-                         ReplyMessage reply) noexcept {
+                         ReplyMessage reply, bool hold) noexcept {
   try {
     // Lock order: session->mu, then the connection's wmu_ (inside
-    // send_frame_bytes).
+    // send_frame_bytes), then its loop's mu (when the reply is held).
     std::lock_guard slock(session->mu);
     reply.has_session = true;
     reply.session_seq = session->next_reply_seq++;
     reply.session_ack = session->highest_request_seq;
-    CdrOutputStream body;
-    reply.encode_body(body);
-    std::vector<std::byte> frame = encode_frame(MessageType::reply, body);
+    std::vector<std::byte> frame = encode_reply_frame(reply);
     // Buffer before writing: a write failure (or a dead connection) leaves
     // the frame for the next resume's replay instead of losing the reply.
     if (session->replies.full()) {
@@ -254,7 +298,7 @@ void write_session_reply(const std::shared_ptr<ServerSession>& session,
     if (!connection) connection = fallback;
     if (!connection || connection->is_dead())
       return;  // buffered; the replay will deliver it
-    connection->send_frame_bytes(std::move(frame));
+    connection->send_frame_bytes(std::move(frame), hold);
   } catch (...) {
     // Encoding failed: nothing sensible to do from a completion thread.
   }
@@ -338,15 +382,16 @@ bool try_dispatch(ObjectAdapter& adapter, RequestMessage& request,
   if (DispatchPool* pool = adapter.dispatch_pool())
     return pool->try_submit(request, done);
   ReplyMessage reply = adapter.dispatch(request);
-  if (request.response_expected && done) done(std::move(reply));
+  if (request.response_expected && done) done(std::move(reply), false);
   return true;
 }
 
 }  // namespace
 
 /// Per-I/O-thread state.  `conns`, `stalled` and the deadline wheel belong
-/// to the owning thread; `pending_adds`/`pending_reaps` are the cross-thread
-/// handoff, guarded by `mu` and signalled through the wake eventfd.
+/// to the owning thread; `pending_adds`/`pending_reaps`/`flushes` are the
+/// cross-thread handoff, guarded by `mu` and signalled through the wake
+/// eventfd.
 struct Reactor::Loop {
   std::size_t index = 0;
   int epfd = -1;
@@ -369,7 +414,15 @@ struct Reactor::Loop {
   std::mutex mu;
   std::vector<std::shared_ptr<ReactorConn>> pending_adds;
   std::vector<int> pending_reaps;
+  /// Connections with held reply frames, flushed after the event batch.
+  /// Adding the first entry rings the eventfd.
+  std::vector<std::shared_ptr<ReactorConn>> flushes;
+  /// Set by stop() once the loop has exited: held frames are then written
+  /// by their completion thread instead.
+  bool flushes_closed = false;
   std::atomic<bool> retry_submits{false};
+  /// Swap target for `flushes` (owning thread only; keeps its capacity).
+  std::vector<std::shared_ptr<ReactorConn>> flushing;
 };
 
 Reactor::Reactor(int listen_fd, std::shared_ptr<ObjectAdapter> adapter,
@@ -431,6 +484,13 @@ void Reactor::stop() {
   for (auto& loop : loops_)
     if (loop->thread.joinable()) loop->thread.join();
   for (auto& loop : loops_) {
+    // Replies held for a loop that has exited still drain: write them here,
+    // and have later completions write theirs directly.
+    {
+      std::lock_guard lock(loop->mu);
+      loop->flushes_closed = true;
+    }
+    flush_held(*loop);
     std::lock_guard lock(loop->mu);
     const auto registered = static_cast<double>(loop->conns.size());
     // pending_adds were counted at accept but never registered with epoll,
@@ -462,6 +522,36 @@ void Reactor::wake(Loop& loop) noexcept {
   const std::uint64_t one = 1;
   [[maybe_unused]] const ssize_t n =
       ::write(loop.wake_fd, &one, sizeof(one));  // nonblocking; EAGAIN is fine
+}
+
+bool Reactor::list_flush(std::size_t loop_index,
+                         std::shared_ptr<ReactorConn> conn) noexcept {
+  Loop& loop = *loops_[loop_index];
+  bool first = false;
+  {
+    std::lock_guard lock(loop.mu);
+    if (loop.flushes_closed) return false;
+    first = loop.flushes.empty();
+    loop.flushes.push_back(std::move(conn));
+  }
+  // A non-empty list already has a wake on its way.
+  if (first) wake(loop);
+  return true;
+}
+
+void Reactor::flush_held(Loop& loop) {
+  {
+    std::lock_guard lock(loop.mu);
+    loop.flushing.swap(loop.flushes);
+  }
+  // Lock order wmu_ -> Loop::mu: the list is taken first, then each
+  // connection's write mutex with the loop's mutex released.
+  for (const auto& conn : loop.flushing) {
+    std::lock_guard lock(conn->wmu_);
+    conn->flush_listed_ = false;
+    if (!conn->is_dead()) conn->flush_locked();
+  }
+  loop.flushing.clear();
 }
 
 void Reactor::request_reap(std::size_t loop_index, int fd) noexcept {
@@ -663,6 +753,7 @@ void Reactor::handle_wake(Loop& loop) {
       reap_conn(loop, it->second);
   }
   for (auto& conn : adds) register_conn(loop, conn);
+  flush_held(loop);
 }
 
 void Reactor::handle_timer(Loop& loop) {
@@ -721,13 +812,14 @@ void Reactor::handle_readable(Loop& loop,
   std::size_t total = 0;
   bool eof = false;
   for (;;) {
-    if (conn->rbuf_.size() - conn->rlen_ < kReadChunk)
-      conn->rbuf_.resize(conn->rlen_ + kReadChunk);
-    const ssize_t n = ::recv(conn->fd_, conn->rbuf_.data() + conn->rlen_,
-                             conn->rbuf_.size() - conn->rlen_, 0);
+    const std::span<std::byte> space = conn->rbuf_.prepare();
+    const ssize_t n = ::recv(conn->fd_, space.data(), space.size(), 0);
     if (n > 0) {
-      conn->rlen_ += static_cast<std::size_t>(n);
+      conn->rbuf_.commit(static_cast<std::size_t>(n));
       total += static_cast<std::size_t>(n);
+      // A short read drained the socket: level-triggered EPOLLIN reports
+      // whatever arrives next, so skip the recv that would say EAGAIN.
+      if (static_cast<std::size_t>(n) < space.size()) break;
       if (total >= kMaxReadPerWake) break;  // fairness: let siblings run
       continue;
     }
@@ -759,24 +851,13 @@ void Reactor::handle_readable(Loop& loop,
 bool Reactor::parse_frames(Loop& loop,
                            const std::shared_ptr<ReactorConn>& conn) {
   try {
-    while (!conn->stalled_ && !conn->discard_input_) {
-      const std::size_t avail = conn->rlen_ - conn->rpos_;
-      if (avail < MessageHeader::kEncodedSize) break;
-      const std::span<const std::byte> head(conn->rbuf_.data() + conn->rpos_,
-                                            MessageHeader::kEncodedSize);
-      const MessageHeader header = MessageHeader::decode(head);  // may throw
-      const std::size_t frame_size =
-          MessageHeader::kEncodedSize + header.body_length;
-      // Partial frame: wait for more bytes.  The buffer grows only as
-      // bytes arrive (handle_readable), never to the header's untrusted
-      // body_length.
-      if (avail < frame_size) break;
-      const std::span<const std::byte> body(
-          conn->rbuf_.data() + conn->rpos_ + MessageHeader::kEncodedSize,
-          header.body_length);
-      // Consume before handling: a stalled request has already been decoded
-      // out of the buffer, so the resume path must not see it again.
-      conn->rpos_ += frame_size;
+    MessageHeader header;
+    std::span<const std::byte> body;
+    // next() consumes the frame before it is handled: a stalled request has
+    // already been decoded out of the buffer, so the resume path must not
+    // see it again.  A partial frame stays buffered until more bytes come.
+    while (!conn->stalled_ && !conn->discard_input_ &&
+           conn->rbuf_.next(header, body)) {
       if (!handle_frame(loop, conn, header, body)) return false;
     }
   } catch (const Exception&) {
@@ -786,15 +867,7 @@ bool Reactor::parse_frames(Loop& loop,
   }
   // After a message_error the connection is closing: discard whatever
   // frames were buffered behind the bad one instead of executing them.
-  if (conn->discard_input_) conn->rpos_ = conn->rlen_;
-  if (conn->rpos_ == conn->rlen_) {
-    conn->rpos_ = conn->rlen_ = 0;
-  } else if (conn->rpos_ >= kCompactThreshold) {
-    std::memmove(conn->rbuf_.data(), conn->rbuf_.data() + conn->rpos_,
-                 conn->rlen_ - conn->rpos_);
-    conn->rlen_ -= conn->rpos_;
-    conn->rpos_ = 0;
-  }
+  if (conn->discard_input_) conn->rbuf_.discard();
   return true;
 }
 
@@ -841,11 +914,13 @@ bool Reactor::submit_request(Loop& loop,
   DispatchPool::Completion done;
   if (request.response_expected) {
     if (conn->session_)
-      done = [session = conn->session_, conn](ReplyMessage reply) {
-        write_session_reply(session, conn, std::move(reply));
+      done = [session = conn->session_, conn](ReplyMessage reply, bool hold) {
+        write_session_reply(session, conn, std::move(reply), hold);
       };
     else
-      done = [conn](ReplyMessage reply) { conn->write_reply(reply); };
+      done = [conn](ReplyMessage reply, bool hold) {
+        conn->write_reply(reply, hold);
+      };
   }
   try {
     if (try_dispatch(*adapter_, request, done)) return true;

@@ -5,13 +5,22 @@
 // how many clients an endpoint can serve.  The reactor instead runs
 // `io_threads` event loops: accepted sockets are non-blocking, each loop
 // runs epoll_wait over its share of the connections (round-robin assignment
-// at accept), frames are assembled incrementally into per-connection read
-// buffers that grow only as bytes arrive, and every complete request is
+// at accept), frames are assembled incrementally into per-connection
+// FrameBuffers that grow only as bytes arrive, and every complete request is
 // handed to the object adapter's bounded DispatchPool.  Reply writes are
 // non-blocking too: a write that would block parks its tail in the
 // connection's pending-write queue, drained in FIFO order on EPOLLOUT —
 // per-connection write ordering (which the session layer's reply-seq
 // contract relies on) is preserved because completions enqueue under one
+// mutex.
+//
+// Reply bursts: a completion whose worker saw other jobs runnable when it
+// picked its request up (DispatchPool's `backlog`) only queues its frame and
+// lists the connection on its loop, ringing the eventfd when the list was
+// empty.  After its event batch the loop writes each listed connection's
+// queue with one sendmsg.  A held reply therefore waits for the I/O loop to
+// be scheduled, never for another servant; with one call in flight nothing
+// is held.  Lock order: session mutex -> connection write mutex -> loop
 // mutex.
 //
 // Back-pressure: when the DispatchPool is at capacity, DispatchPool::
@@ -28,8 +37,7 @@
 // spinning on a level-triggered listen socket.
 //
 // Sessions: hello/accept/replay, duplicate suppression and reply stamping
-// live in reactor.cpp, next to the connection they write to.  The session
-// mutex is always taken before a connection's write mutex.
+// live in reactor.cpp, next to the connection they write to.
 #pragma once
 
 #include <atomic>
@@ -73,10 +81,12 @@ class Reactor {
   /// Spawns the io_threads event loops (loop 0 owns the listen socket).
   void start();
 
-  /// Wakes and joins every loop, then releases the connections.  Sockets
-  /// with replies still queued on dispatch-pool completions stay open until
-  /// the last completion drops its reference, so replies already computed
-  /// still drain.  Idempotent.
+  /// Wakes and joins every loop, writes the replies held for them, then
+  /// releases the connections.  Sockets with replies still queued on
+  /// dispatch-pool completions stay open until the last completion drops
+  /// its reference, and completions finishing during or after stop write
+  /// their replies directly, so replies already computed still drain.
+  /// Idempotent.
   void stop();
 
   /// DispatchPool space callback: wakes every loop to retry stalled
@@ -121,6 +131,13 @@ class Reactor {
   void schedule_deadline(Loop& loop, double when, int fd);
   void arm_timer(Loop& loop, double when_mono_s);
   void wake(Loop& loop) noexcept;
+  /// Lists a connection with held reply frames for its loop's post-batch
+  /// flush (call with the connection's write mutex held).  Returns false
+  /// once the loop has stopped; the caller then writes the frames itself.
+  bool list_flush(std::size_t loop_index,
+                  std::shared_ptr<ReactorConn> conn) noexcept;
+  /// Writes the queued frames of every listed connection.
+  void flush_held(Loop& loop);
   /// Marks a connection dead from a writer thread and nudges its loop to
   /// reap it (reactor-internal; called by ReactorConn).
   void request_reap(std::size_t loop_index, int fd) noexcept;

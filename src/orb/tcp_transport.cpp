@@ -30,6 +30,27 @@ namespace {
 
 constexpr int kPollIntervalMs = 100;
 
+std::chrono::steady_clock::time_point deadline_after(double timeout_s) {
+  return timeout_s > 0
+             ? std::chrono::steady_clock::now() +
+                   std::chrono::duration_cast<
+                       std::chrono::steady_clock::duration>(
+                       std::chrono::duration<double>(timeout_s))
+             : std::chrono::steady_clock::time_point::max();
+}
+
+/// Poll slice that honors `deadline`: at most kPollIntervalMs, at least 1.
+int poll_slice_ms(std::chrono::steady_clock::time_point deadline,
+                  std::chrono::steady_clock::time_point now) {
+  if (deadline == std::chrono::steady_clock::time_point::max())
+    return kPollIntervalMs;
+  const auto remaining =
+      std::chrono::duration_cast<std::chrono::milliseconds>(deadline - now)
+          .count();
+  return static_cast<int>(std::min<long long>(
+      kPollIntervalMs, std::max<long long>(1, remaining)));
+}
+
 double monotonic_seconds() {
   return std::chrono::duration<double>(
              std::chrono::steady_clock::now().time_since_epoch())
@@ -53,6 +74,10 @@ struct MuxMetrics {
       "transport.tcp.batched_failures_total");
   obs::Counter& idle_closed = obs::MetricsRegistry::global().counter(
       "transport.tcp.idle_closed_total");
+  /// recv calls made by client connections: reads per reply is this over
+  /// the replies received.
+  obs::Counter& client_reads = obs::MetricsRegistry::global().counter(
+      "transport.tcp.client_reads_total");
   obs::Gauge& inflight =
       obs::MetricsRegistry::global().gauge("transport.tcp.inflight");
   obs::Gauge& connections =
@@ -113,30 +138,15 @@ Socket Socket::connect(const std::string& host, std::uint16_t port,
     throw_errno("connect to " + host + ":" + std::to_string(port),
                 minor_code::connect_failed, CompletionStatus::completed_no);
   if (rc != 0) {
-    const auto deadline =
-        timeout_s > 0
-            ? std::chrono::steady_clock::now() +
-                  std::chrono::duration_cast<
-                      std::chrono::steady_clock::duration>(
-                      std::chrono::duration<double>(timeout_s))
-            : std::chrono::steady_clock::time_point::max();
+    const auto deadline = deadline_after(timeout_s);
     for (;;) {
       const auto now = std::chrono::steady_clock::now();
       if (now >= deadline)
         throw COMM_FAILURE(
             "connect to " + host + ":" + std::to_string(port) + " timed out",
             minor_code::connect_failed, CompletionStatus::completed_no);
-      int slice_ms = kPollIntervalMs;
-      if (deadline != std::chrono::steady_clock::time_point::max()) {
-        const auto remaining =
-            std::chrono::duration_cast<std::chrono::milliseconds>(deadline -
-                                                                  now)
-                .count();
-        slice_ms = static_cast<int>(
-            std::min<long long>(slice_ms, std::max<long long>(1, remaining)));
-      }
       pollfd pfd{fd, POLLOUT, 0};
-      const int pr = ::poll(&pfd, 1, slice_ms);
+      const int pr = ::poll(&pfd, 1, poll_slice_ms(deadline, now));
       if (pr < 0) {
         if (errno == EINTR) continue;
         throw_errno("poll", minor_code::connect_failed,
@@ -173,20 +183,15 @@ void Socket::write_all(std::span<const std::byte> data) {
 }
 
 bool Socket::read_all(std::span<std::byte> data, bool eof_ok,
-                      double timeout_s) {
-  const auto deadline =
-      timeout_s > 0
-          ? std::chrono::steady_clock::now() +
-                std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                    std::chrono::duration<double>(timeout_s))
-          : std::chrono::steady_clock::time_point::max();
+                      std::chrono::steady_clock::time_point deadline) {
   std::size_t read = 0;
   while (read < data.size()) {
-    if (std::chrono::steady_clock::now() >= deadline)
+    const auto now = std::chrono::steady_clock::now();
+    if (now >= deadline)
       throw TIMEOUT("no reply within the request timeout",
                     minor_code::unspecified, CompletionStatus::completed_maybe);
     pollfd pfd{fd_, POLLIN, 0};
-    const int pr = ::poll(&pfd, 1, kPollIntervalMs);
+    const int pr = ::poll(&pfd, 1, poll_slice_ms(deadline, now));
     if (pr < 0) {
       if (errno == EINTR) continue;
       throw_errno("poll", minor_code::connection_lost,
@@ -228,12 +233,42 @@ void Socket::finish_frame(FrameBuilder& frame) {
 
 bool Socket::recv_frame(MessageHeader& header, std::vector<std::byte>& body,
                         double timeout_s) {
+  const auto deadline = deadline_after(timeout_s);
   std::array<std::byte, MessageHeader::kEncodedSize> head_bytes;
-  if (!read_all(head_bytes, /*eof_ok=*/true, timeout_s)) return false;
+  if (!read_all(head_bytes, /*eof_ok=*/true, deadline)) return false;
   header = MessageHeader::decode(head_bytes);
-  body.resize(header.body_length);
-  if (header.body_length > 0) read_all(body, /*eof_ok=*/false, timeout_s);
+  // The declared length is untrusted: grow the body by at most what has
+  // already arrived (and at least one read chunk) per step, so memory
+  // follows the bytes received.
+  body.clear();
+  while (body.size() < header.body_length) {
+    const std::size_t got = body.size();
+    const std::size_t step = std::min<std::size_t>(
+        header.body_length - got, std::max(got, FrameBuffer::kReadChunk));
+    body.resize(got + step);
+    read_all(std::span(body).subspan(got, step), /*eof_ok=*/false, deadline);
+  }
   return true;
+}
+
+std::size_t Socket::read_some(std::span<std::byte> into, int wait_ms,
+                              bool wait_first) {
+  if (wait_first && wait_ms > 0 && !wait_readable(wait_ms)) return 0;
+  for (bool waited = wait_first;;) {
+    const ssize_t n = ::recv(fd_, into.data(), into.size(), MSG_DONTWAIT);
+    mux_metrics().client_reads.inc();
+    if (n > 0) return static_cast<std::size_t>(n);
+    if (n == 0)
+      throw COMM_FAILURE("server closed connection",
+                         minor_code::connection_lost,
+                         CompletionStatus::completed_maybe);
+    if (errno == EINTR) continue;
+    if (errno != EAGAIN && errno != EWOULDBLOCK)
+      throw_errno("recv", minor_code::connection_lost,
+                  CompletionStatus::completed_maybe);
+    if (waited || wait_ms == 0 || !wait_readable(wait_ms)) return 0;
+    waited = true;
+  }
 }
 
 bool Socket::wait_readable(int timeout_ms) {
@@ -261,12 +296,7 @@ class TcpMuxPendingReply final : public PendingReply {
       : connection_(std::move(connection)),
         waiter_(std::move(waiter)),
         request_id_(request_id),
-        deadline_(timeout_s > 0
-                      ? std::chrono::steady_clock::now() +
-                            std::chrono::duration_cast<
-                                std::chrono::steady_clock::duration>(
-                                std::chrono::duration<double>(timeout_s))
-                      : std::chrono::steady_clock::time_point::max()) {}
+        deadline_(deadline_after(timeout_s)) {}
 
   ~TcpMuxPendingReply() override {
     // Never consumed: abandon the waiter so a late reply is discarded
@@ -582,42 +612,52 @@ void TcpConnection::fail_all_locked(const std::exception_ptr& error) {
   if (victims > 1) obs::flight_auto_dump("batched COMM_FAILURE on " + peer_);
 }
 
-bool TcpConnection::read_one_locked(
-    std::unique_lock<std::mutex>& lock,
+TcpConnection::Step TcpConnection::step_locked(
+    std::unique_lock<std::mutex>& lock, int wait_ms,
     std::chrono::steady_clock::time_point deadline) {
+  // A lone call's reply is rarely there yet, so wait before reading; with
+  // siblings in flight, replies are likely already buffered in the socket.
+  const bool wait_first = waiters_.size() <= 1;
+  // The buffer and the socket's read side belong to the leader, so both are
+  // worked on with mu_ dropped.
   lock.unlock();
   std::exception_ptr failure;
   ReplyMessage reply;
   bool have_reply = false;
+  std::size_t received = 0;
   try {
     MessageHeader header;
-    std::vector<std::byte> body;
-    if (!socket_.recv_frame(header, body)) {
-      failure = std::make_exception_ptr(COMM_FAILURE(
-          "server closed connection", minor_code::connection_lost,
-          CompletionStatus::completed_maybe));
-    } else if (header.type != MessageType::reply) {
-      failure = std::make_exception_ptr(
-          MARSHAL("unexpected message type in reply stream"));
-    } else {
+    std::span<const std::byte> body;
+    if (rbuf_.next(header, body)) {
+      if (header.type != MessageType::reply)
+        throw MARSHAL("unexpected message type in reply stream");
       CdrInputStream in(body, header.byte_order);
       reply = ReplyMessage::decode_body(in);
       have_reply = true;
-      touch();
+    } else {
+      received = socket_.read_some(rbuf_.prepare(), wait_ms, wait_first);
+      rbuf_.commit(received);
     }
   } catch (const Exception&) {
     failure = std::current_exception();
   }
   lock.lock();
-  if (!have_reply) {
-    return handle_failure_locked(lock, failure, deadline);
-  }
+  if (failure)
+    return handle_failure_locked(lock, failure, deadline) ? Step::progress
+                                                          : Step::failed;
+  if (!have_reply) return received > 0 ? Step::progress : Step::idle;
+  touch();
+  deliver_locked(std::move(reply));
+  return Step::progress;
+}
+
+void TcpConnection::deliver_locked(ReplyMessage reply) {
   if (reply.has_session) {
     if (reply.session_seq <= highest_reply_seq_) {
       // A replayed reply we already consumed before the connection cut.
       mux_metrics().discarded.inc();
       mux_metrics().discarded_duplicate.inc();
-      return true;
+      return;
     }
     highest_reply_seq_ = reply.session_seq;
     if (retransmit_) retransmit_->ack(reply.session_ack);  // cumulative
@@ -632,14 +672,13 @@ bool TcpConnection::read_one_locked(
       mux_metrics().discarded_late.inc();
     else
       mux_metrics().discarded_duplicate.inc();
-    return true;
+    return;
   }
   const std::shared_ptr<Waiter> owner = std::move(it->second);
   waiters_.erase(it);
   owner->reply = std::move(reply);
   owner->done.store(true, std::memory_order_release);
   owner->cv.notify_one();  // wake exactly the caller this reply is for
-  return true;
 }
 
 bool TcpConnection::handle_failure_locked(
@@ -724,6 +763,10 @@ bool TcpConnection::resume_locked(
             ++replayed;
           }
           socket_ = std::move(fresh);
+          // A reply cut off mid-frame goes with its socket: only consumed
+          // replies advanced highest_reply_seq_ (the hello's ack), so the
+          // server replays it whole.
+          rbuf_.discard();
         } catch (const Exception&) {
           replay_ok = false;  // the fresh socket died too: next attempt
         }
@@ -763,58 +806,22 @@ bool TcpConnection::lead(std::unique_lock<std::mutex>& lock,
                        CompletionStatus::completed_maybe)));
       return true;
     }
-    // Poll in bounded slices so close() and this caller's deadline are
-    // honored *between* frames; once data is available, commit to reading
-    // the whole frame — abandoning one mid-read would lose stream sync for
-    // every other call on the connection.
+    // Wait in bounded slices so close() and this caller's deadline are
+    // honored on a quiet socket.  Giving up mid-frame loses nothing: the
+    // partial frame stays buffered for the next leader.
     const auto now = std::chrono::steady_clock::now();
     if (now >= deadline) return false;
-    int slice_ms = kPollIntervalMs;
-    if (deadline != std::chrono::steady_clock::time_point::max()) {
-      const auto remaining =
-          std::chrono::duration_cast<std::chrono::milliseconds>(deadline - now)
-              .count();
-      slice_ms = static_cast<int>(std::min<long long>(slice_ms,
-                                                      std::max<long long>(
-                                                          1, remaining)));
-    }
-    lock.unlock();
-    bool readable = false;
-    std::exception_ptr failure;
-    try {
-      readable = socket_.wait_readable(slice_ms);
-    } catch (const Exception&) {
-      failure = std::current_exception();
-    }
-    lock.lock();
-    if (failure) {
-      if (handle_failure_locked(lock, failure, deadline)) continue;
+    if (step_locked(lock, poll_slice_ms(deadline, now), deadline) ==
+        Step::failed)
       return true;
-    }
-    if (readable && !read_one_locked(lock, deadline)) return true;
   }
   return true;
 }
 
 void TcpConnection::drain_available_locked(std::unique_lock<std::mutex>& lock) {
-  for (;;) {
-    lock.unlock();
-    bool readable = false;
-    std::exception_ptr failure;
-    try {
-      readable = socket_.wait_readable(0);
-    } catch (const Exception&) {
-      failure = std::current_exception();
-    }
-    lock.lock();
-    if (failure) {
-      handle_failure_locked(lock, failure,
-                            std::chrono::steady_clock::time_point::max());
-      return;
-    }
-    if (!readable ||
-        !read_one_locked(lock, std::chrono::steady_clock::time_point::max()))
-      return;
+  while (step_locked(lock, /*wait_ms=*/0,
+                     std::chrono::steady_clock::time_point::max()) ==
+         Step::progress) {
   }
 }
 

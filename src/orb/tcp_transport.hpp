@@ -11,9 +11,12 @@
 // waiters and promoting a follower to leader when its own reply arrives.  A
 // lone synchronous caller therefore reads its own reply directly, with no
 // thread hop, while deep pipelines still pay only one thread wakeup per
-// reply.  A connection-level failure fails every in-flight call on that
-// connection with COMM_FAILURE/COMPLETED_MAYBE — the fault-tolerance layer's
-// recovery path is built to absorb such batched failures.
+// reply.  The leader reads into the connection's FrameBuffer: one recv takes
+// whatever burst of replies the socket holds, and the socket is polled only
+// when no whole frame is buffered.  A connection-level failure fails every
+// in-flight call on that connection with COMM_FAILURE/COMPLETED_MAYBE — the
+// fault-tolerance layer's recovery path is built to absorb such batched
+// failures.
 //
 // Server side: the epoll reactor (reactor.hpp) — a fixed set of
 // TcpServerOptions::io_threads event loops serving any number of
@@ -79,11 +82,21 @@ class Socket {
   FrameBuilder start_frame(MessageType type, std::size_t size_hint = 0);
   void finish_frame(FrameBuilder& frame);
 
-  /// Reads one frame.  Returns false on orderly peer close before a header;
-  /// throws COMM_FAILURE on mid-frame errors and TIMEOUT when `timeout_s`
-  /// (> 0) elapses first.
+  /// Reads exactly one frame (no byte beyond it).  Returns false on orderly
+  /// peer close before a header; throws COMM_FAILURE on mid-frame errors and
+  /// TIMEOUT when `timeout_s` (> 0) elapses first.  The body grows in
+  /// bounded steps as bytes arrive, never straight to the header's declared
+  /// length.
   bool recv_frame(MessageHeader& header, std::vector<std::byte>& body,
                   double timeout_s = 0);
+
+  /// Reads whatever the socket holds into `into` (one recv), waiting up to
+  /// `wait_ms` for bytes when none are there (0 = don't wait).  With
+  /// `wait_first` it waits before trying the read — cheaper when bytes are
+  /// unlikely to be there yet.  Returns the byte count, 0 when nothing
+  /// arrived; throws COMM_FAILURE on errors and on peer close.
+  std::size_t read_some(std::span<std::byte> into, int wait_ms,
+                        bool wait_first);
 
   /// Polls for readability for up to `timeout_ms` (0 = just check).  Throws
   /// COMM_FAILURE on poll errors; a hangup reports readable so the next read
@@ -92,7 +105,8 @@ class Socket {
 
  private:
   void write_all(std::span<const std::byte> data);
-  bool read_all(std::span<std::byte> data, bool eof_ok, double timeout_s);
+  bool read_all(std::span<std::byte> data, bool eof_ok,
+                std::chrono::steady_clock::time_point deadline);
 
   int fd_ = -1;
   /// Recycled through start_frame/finish_frame; capacity follows the
@@ -214,21 +228,26 @@ class TcpConnection : public std::enable_shared_from_this<TcpConnection> {
 
   explicit TcpConnection(Socket socket);
   /// Leader loop: reads frames, demuxing each reply to its waiter, until
-  /// `waiter` completes (returns true) or `deadline` expires between frames
-  /// (returns false).  Call with mu_ held and leader_active_ set; returns
-  /// with mu_ held.  Connection failures fail all in-flight calls.
+  /// `waiter` completes (returns true) or `deadline` expires (returns
+  /// false).  A partial frame simply stays buffered for the next leader.
+  /// Call with mu_ held and leader_active_ set; returns with mu_ held.
+  /// Connection failures fail all in-flight calls.
   bool lead(std::unique_lock<std::mutex>& lock,
             const std::shared_ptr<Waiter>& waiter,
             std::chrono::steady_clock::time_point deadline);
-  /// Reads exactly one frame (blocking) and demuxes it.  Call with mu_ held
-  /// and leader_active_ set; returns with mu_ held.  Returns false after a
-  /// connection failure (every in-flight call has been failed); with a live
-  /// session the failure is first given to resume_locked, bounded by
+  enum class Step { progress, idle, failed };
+  /// One leader step: demuxes the next whole buffered frame or, with none
+  /// buffered, reads what the socket holds — waiting up to `wait_ms` for it
+  /// when it holds nothing (idle: nothing arrived).  Locking contract as
+  /// lead().  `failed` means every in-flight call has been failed; with a
+  /// live session a failure is first given to resume_locked, bounded by
   /// `deadline` (the leader's per-call deadline budget).
-  bool read_one_locked(std::unique_lock<std::mutex>& lock,
-                       std::chrono::steady_clock::time_point deadline);
-  /// Drains frames already buffered on the socket without blocking between
-  /// them (ready()-polling progress).  Locking contract as read_one_locked.
+  Step step_locked(std::unique_lock<std::mutex>& lock, int wait_ms,
+                   std::chrono::steady_clock::time_point deadline);
+  /// Completes the waiter `reply` answers (mu_ held).
+  void deliver_locked(ReplyMessage reply);
+  /// Demuxes the frames already buffered or waiting on the socket without
+  /// blocking (ready()-polling progress).  Locking contract as lead().
   void drain_available_locked(std::unique_lock<std::mutex>& lock);
   /// Wakes one blocked follower to take over reading (call with mu_ held,
   /// after clearing leader_active_).
@@ -255,6 +274,9 @@ class TcpConnection : public std::enable_shared_from_this<TcpConnection> {
   void touch() noexcept;
 
   Socket socket_;
+  /// Received bytes not yet demuxed.  Owned by the current leader, like
+  /// reads of socket_ (leader_active_ excludes every other reader).
+  FrameBuffer rbuf_;
   std::string peer_;  ///< "host:port", set once at open()
   std::string host_;  ///< reconnect target (sessions)
   std::uint16_t port_ = 0;

@@ -8,6 +8,7 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <map>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -47,7 +48,7 @@ TEST(DispatchPoolTest, ExecutesAndCompletes) {
   std::condition_variable cv;
   bool done = false;
   ReplyMessage got;
-  submit(pool, request_for("a", 1), [&](ReplyMessage reply) {
+  submit(pool, request_for("a", 1), [&](ReplyMessage reply, bool) {
     std::lock_guard lock(mu);
     got = std::move(reply);
     done = true;
@@ -119,6 +120,37 @@ TEST(DispatchPoolTest, DistinctKeysRunInParallel) {
   pool.stop();
 }
 
+TEST(DispatchPoolTest, BacklogReportsOtherRunnableJobs) {
+  // One worker held on key "gate" while "b" and "c" queue up: "b" is picked
+  // up with "c" runnable (backlog), "c" with nothing behind it.
+  std::mutex mu;
+  std::condition_variable cv;
+  bool release = false;
+  DispatchPool pool({.threads = 1}, [&](const RequestMessage& req) {
+    if (req.object_key == key_of("gate")) {
+      std::unique_lock lock(mu);
+      cv.wait_for(lock, 5s, [&] { return release; });
+    }
+    return ReplyMessage::make_result(req.request_id, Value());
+  });
+  std::map<std::uint64_t, bool> backlog;
+  auto record = [&](ReplyMessage reply, bool more) {
+    std::lock_guard lock(mu);
+    backlog[reply.request_id] = more;
+  };
+  submit(pool, request_for("gate", 1), record);
+  submit(pool, request_for("b", 2), record);
+  submit(pool, request_for("c", 3), record);
+  {
+    std::lock_guard lock(mu);
+    release = true;
+    cv.notify_all();
+  }
+  pool.stop();
+  EXPECT_TRUE(backlog.at(2));
+  EXPECT_FALSE(backlog.at(3));
+}
+
 TEST(DispatchPoolTest, TrySubmitRefusesAtLimitAndRingsSpaceOnce) {
   std::mutex mu;
   std::condition_variable cv;
@@ -138,7 +170,9 @@ TEST(DispatchPoolTest, TrySubmitRefusesAtLimitAndRingsSpaceOnce) {
   // completion for a later retry.
   std::atomic<bool> completed{false};
   RequestMessage third = request_for("k", 3);
-  DispatchPool::Completion done = [&](ReplyMessage) { completed.store(true); };
+  DispatchPool::Completion done = [&](ReplyMessage, bool) {
+    completed.store(true);
+  };
   EXPECT_FALSE(pool.try_submit(third, done));
   EXPECT_FALSE(pool.try_submit(third, done));
   EXPECT_EQ(third.request_id, 3u);
@@ -195,8 +229,9 @@ TEST(DispatchPoolTest, CompletionExceptionIsSwallowed) {
   DispatchPool pool({.threads = 1}, [](const RequestMessage& req) {
     return ReplyMessage::make_result(req.request_id, Value());
   });
-  submit(pool, request_for("k", 1),
-         [](ReplyMessage) { throw std::runtime_error("dead connection"); });
+  submit(pool, request_for("k", 1), [](ReplyMessage, bool) {
+    throw std::runtime_error("dead connection");
+  });
   pool.stop();  // must not terminate / rethrow
   EXPECT_EQ(pool.dispatched(), 1u);
 }
@@ -207,7 +242,8 @@ TEST(DispatchPoolTest, OnewayGetsNoCompletion) {
     return ReplyMessage::make_result(req.request_id, Value());
   });
   RequestMessage req = request_for("k", 1, /*response_expected=*/false);
-  submit(pool, std::move(req), [&](ReplyMessage) { completed.store(true); });
+  submit(pool, std::move(req),
+         [&](ReplyMessage, bool) { completed.store(true); });
   pool.stop();
   EXPECT_FALSE(completed.load());
   EXPECT_EQ(pool.dispatched(), 1u);

@@ -1,9 +1,12 @@
 // Unit tests for the GIOP-lite message layer: header framing, request and
-// reply body round trips, exception carriage, and the user-exception
-// registry.
+// reply body round trips, exception carriage, the user-exception registry,
+// and the incremental FrameBuffer.
 #include "orb/message.hpp"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstring>
 
 namespace corba {
 namespace {
@@ -300,6 +303,121 @@ TEST(Request, HostileArgumentCountRejected) {
   out.write_u32(0x7fffffff);  // claims ~2B arguments
   CdrInputStream in(out.buffer());
   EXPECT_THROW(RequestMessage::decode_body(in), MARSHAL);
+}
+
+// --- FrameBuffer -------------------------------------------------------------
+
+std::vector<std::byte> frame_with_body(std::size_t body_size, std::byte fill) {
+  CdrOutputStream body;
+  for (std::size_t i = 0; i < body_size; ++i)
+    body.write_raw(std::span<const std::byte>(&fill, 1));
+  return encode_frame(MessageType::reply, body);
+}
+
+/// Feeds `bytes` to `buffer` in pieces of at most `piece` bytes.
+void feed(FrameBuffer& buffer, std::span<const std::byte> bytes,
+          std::size_t piece) {
+  while (!bytes.empty()) {
+    const std::span<std::byte> space = buffer.prepare();
+    const std::size_t n = std::min({piece, space.size(), bytes.size()});
+    std::memcpy(space.data(), bytes.data(), n);
+    buffer.commit(n);
+    bytes = bytes.subspan(n);
+  }
+}
+
+TEST(FrameBuffer, AssemblesFramesSplitAnywhere) {
+  std::vector<std::byte> stream;
+  for (std::size_t i = 0; i < 5; ++i) {
+    const auto frame = frame_with_body(i * 7, std::byte(i));
+    stream.insert(stream.end(), frame.begin(), frame.end());
+  }
+  for (const std::size_t piece : {1, 5, 11, 12, 13, 1000}) {
+    FrameBuffer buffer;
+    std::size_t seen = 0;
+    for (std::size_t off = 0; off < stream.size(); off += piece) {
+      feed(buffer,
+           std::span(stream).subspan(off, std::min(piece, stream.size() - off)),
+           piece);
+      MessageHeader header;
+      std::span<const std::byte> body;
+      while (buffer.next(header, body)) {
+        EXPECT_EQ(header.type, MessageType::reply);
+        ASSERT_EQ(body.size(), seen * 7);
+        for (const std::byte b : body) EXPECT_EQ(b, std::byte(seen));
+        ++seen;
+      }
+    }
+    EXPECT_EQ(seen, 5u) << "piece " << piece;
+    EXPECT_EQ(buffer.pending(), 0u);
+  }
+}
+
+TEST(FrameBuffer, PartialFrameStaysPendingAndDiscardDropsIt) {
+  const auto frame = frame_with_body(40, std::byte{9});
+  FrameBuffer buffer;
+  feed(buffer, std::span(frame).first(MessageHeader::kEncodedSize + 10),
+       frame.size());
+  MessageHeader header;
+  std::span<const std::byte> body;
+  EXPECT_FALSE(buffer.next(header, body));
+  EXPECT_EQ(buffer.pending(), MessageHeader::kEncodedSize + 10);
+  buffer.discard();
+  EXPECT_EQ(buffer.pending(), 0u);
+  feed(buffer, frame, frame.size());  // a fresh stream starts clean
+  ASSERT_TRUE(buffer.next(header, body));
+  EXPECT_EQ(body.size(), 40u);
+}
+
+TEST(FrameBuffer, DeclaredLengthReservesNothing) {
+  MessageHeader huge;
+  huge.body_length = 256u << 20;
+  const auto head = huge.encode();
+  FrameBuffer buffer;
+  feed(buffer, head, head.size());
+  MessageHeader header;
+  std::span<const std::byte> body;
+  EXPECT_FALSE(buffer.next(header, body));
+  EXPECT_EQ(header.body_length, 256u << 20);
+  EXPECT_LE(buffer.prepare().size(), 2 * FrameBuffer::kReadChunk);
+}
+
+TEST(FrameBuffer, BadHeaderThrows) {
+  auto frame = frame_with_body(4, std::byte{1});
+  frame[0] = std::byte{'X'};
+  FrameBuffer buffer;
+  feed(buffer, frame, frame.size());
+  MessageHeader header;
+  std::span<const std::byte> body;
+  EXPECT_THROW(buffer.next(header, body), MARSHAL);
+}
+
+TEST(FrameBuffer, ConsumedFramesMakeRoomWithoutLosingAPartialTail) {
+  // 700-byte reads of 1012-byte frames: most reads leave a partial frame
+  // behind a consumed one.  Making room must move those bytes, not lose
+  // them, and the buffer must not creep.
+  const auto frame = frame_with_body(1000, std::byte{3});
+  std::vector<std::byte> stream;
+  for (int i = 0; i < 200; ++i)
+    stream.insert(stream.end(), frame.begin(), frame.end());
+  FrameBuffer buffer;
+  std::size_t seen = 0;
+  for (std::size_t off = 0; off < stream.size(); off += 700) {
+    feed(buffer,
+         std::span(stream).subspan(off, std::min<std::size_t>(
+                                            700, stream.size() - off)),
+         700);
+    MessageHeader header;
+    std::span<const std::byte> body;
+    while (buffer.next(header, body)) {
+      ASSERT_EQ(body.size(), 1000u);
+      EXPECT_EQ(body.front(), std::byte{3});
+      EXPECT_EQ(body.back(), std::byte{3});
+      ++seen;
+    }
+  }
+  EXPECT_EQ(seen, 200u);
+  EXPECT_LE(buffer.prepare().size(), 2 * FrameBuffer::kReadChunk);
 }
 
 }  // namespace
