@@ -4,18 +4,19 @@
 // migration.  Everything the paper's §3 describes, narrated step by step.
 //
 // Along the way it shows the observability layer in action: a text metrics
-// exporter plus a RecoveryTimeline that records, in virtual-time order,
-// what the fault detector, quarantine and proxy engine did about each
-// injected failure.
+// exporter plus a `flight.event` subscription that receives, in virtual-time
+// order, every step the fault detector, quarantine and proxy engine took
+// about each injected failure.
 #include <cstdio>
+#include <span>
 
 #include "core/sim_runtime.hpp"
 #include "ft/checkpoint.hpp"
 #include "ft/proxy.hpp"
 #include "ft/request_proxy.hpp"
+#include "obs/event_channel.hpp"
 #include "obs/metrics.hpp"
 #include "obs/orbtop.hpp"
-#include "obs/timeline.hpp"
 #include "orb/cdr.hpp"
 #include "sim/work_meter.hpp"
 
@@ -81,10 +82,17 @@ int main() {
   for (int i = 0; i < 3; ++i) cluster.add_host("node" + std::to_string(i), 1e5);
   rt::SimRuntime runtime(cluster, {.winner_stale_after = 2.5, .infra_speed = 1e5});
 
-  // Observability: collect recovery events while the demo runs.  (The
-  // runtime already stamps them with the simulation's virtual clock.)
-  obs::RecoveryTimeline timeline;
-  obs::install_timeline(&timeline);
+  // Observability: collect recovery steps live from the `flight.event`
+  // topic while the demo runs.  (The runtime binds the channel to the
+  // simulation's virtual clock and stamps every event with it.)
+  std::string recovery_steps;
+  obs::SubscribeOptions flight_topic;
+  flight_topic.topics = {obs::Topic::flight_event};
+  const std::uint64_t subscription = obs::EventChannel::global().subscribe(
+      flight_topic, [&](std::span<const obs::Event> batch) {
+        for (const obs::Event& event : batch)
+          recovery_steps += event.to_line() + '\n';
+      });
   runtime.registry()->register_type(
       "Table", [] { return std::make_shared<TableServant>(); });
   const naming::Name name = naming::Name::parse("Table");
@@ -157,11 +165,12 @@ int main() {
               static_cast<unsigned long long>(proxy.checkpoints_taken()),
               static_cast<unsigned long long>(proxy.retries()));
 
-  // What the runtime saw: the full recovery timeline of the three crashes
-  // and the migration, then the text metrics export.
-  obs::install_timeline(nullptr);
-  std::printf("\n--- recovery timeline (virtual seconds) ---\n%s",
-              timeline.to_string().c_str());
+  // What the runtime saw: every recovery step of the three crashes and the
+  // migration, then the text metrics export.
+  runtime.events().run_until(runtime.events().now());  // pending deliveries
+  obs::EventChannel::global().unsubscribe(subscription);
+  std::printf("\n--- recovery steps (flight.event, virtual seconds) ---\n%s",
+              recovery_steps.c_str());
   std::printf("\n--- metrics (text exporter) ---\n%s",
               obs::to_text(obs::MetricsRegistry::global().snapshot()).c_str());
 

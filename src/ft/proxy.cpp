@@ -2,25 +2,16 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 #include <thread>
 
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
-#include "obs/timeline.hpp"
 #include "obs/trace.hpp"
 #include "orb/log.hpp"
 
 namespace ft {
 
 namespace {
-
-// Flight-recorder step tags for recovery_step events (see
-// obs/flight_recorder.hpp).
-constexpr std::uint64_t kStepFailure = 1;
-constexpr std::uint64_t kStepRecover = 2;
-constexpr std::uint64_t kStepRebound = 3;
-constexpr std::uint64_t kStepExhausted = 4;
 
 struct ProxyMetrics {
   obs::Counter& failures =
@@ -46,12 +37,6 @@ struct ProxyMetrics {
 ProxyMetrics& proxy_metrics() {
   static ProxyMetrics metrics;
   return metrics;
-}
-
-std::string format_seconds(double s) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.9f", s);
-  return buf;
 }
 
 }  // namespace
@@ -139,20 +124,15 @@ void ProxyEngine::on_failure(const corba::SystemException& error, int attempt,
   // host and the sibling's failure already reported it.
   if (!(current_.ior() == failed_target)) {
     if (attempt >= config_.policy.max_attempts || !should_retry(error)) {
-      obs::timeline_event_at(at, "proxy", service_key_,
-                             "surfacing batched failure: retry budget "
-                             "exhausted");
-      obs::flight_event(obs::FlightEvent::recovery_step, service_key_,
-                        kStepExhausted, static_cast<std::uint64_t>(attempt));
+      obs::flight_event_live(obs::FlightEvent::recovery_step, service_key_,
+                             obs::recovery_step::budget_exhausted, attempt);
       obs::flight_auto_dump("recovery exhausted: " + service_key_);
       throw;
     }
     ++batched_failures_;
     proxy_metrics().batched_failures.inc();
-    obs::timeline_event_at(at, "proxy", service_key_,
-                           "batched connection failure (attempt " +
-                               std::to_string(attempt) +
-                               "): sibling already recovered; re-issuing");
+    obs::flight_event_live(obs::FlightEvent::recovery_step, service_key_,
+                           obs::recovery_step::batched_reissue, attempt);
     return;
   }
   // A session-layer fallback means the transport already spent its resume
@@ -161,24 +141,18 @@ void ProxyEngine::on_failure(const corba::SystemException& error, int attempt,
   // network absorbed by sessions" from "recovery actually needed".
   if (error.minor() == corba::minor_code::session_resume_failed) {
     proxy_metrics().resume_fallbacks.inc();
-    obs::timeline_event_at(at, "proxy", service_key_,
-                           "session resume exhausted; falling back to "
-                           "recovery");
+    obs::flight_event_live(obs::FlightEvent::recovery_step, service_key_,
+                           obs::recovery_step::resume_exhausted, attempt);
   }
-  obs::timeline_event_at(at, "proxy", service_key_,
-                         "call failed (attempt " + std::to_string(attempt) +
-                             "): " + error.repo_id());
-  obs::flight_event(obs::FlightEvent::recovery_step, service_key_, kStepFailure,
-                    static_cast<std::uint64_t>(attempt));
+  obs::flight_event_live(obs::FlightEvent::recovery_step, service_key_,
+                         obs::recovery_step::failure, attempt);
   if (config_.quarantine) {
     if (current_host_.empty()) current_host_ = host_of_current();
     config_.quarantine->report_failure(service_key_, current_host_, at);
   }
   if (attempt >= config_.policy.max_attempts || !should_retry(error)) {
-    obs::timeline_event_at(at, "proxy", service_key_,
-                           "surfacing failure: retry budget exhausted");
-    obs::flight_event(obs::FlightEvent::recovery_step, service_key_,
-                      kStepExhausted, static_cast<std::uint64_t>(attempt));
+    obs::flight_event_live(obs::FlightEvent::recovery_step, service_key_,
+                           obs::recovery_step::budget_exhausted, attempt);
     obs::flight_auto_dump("recovery exhausted: " + service_key_);
     throw;
   }
@@ -197,10 +171,8 @@ void ProxyEngine::on_failure(const corba::SystemException& error, int attempt,
       (at - call_start) + delay > p.call_deadline_s) {
     ++deadline_exhaustions_;
     proxy_metrics().deadline_exhaustions.inc();
-    obs::timeline_event_at(at, "proxy", service_key_,
-                           "surfacing failure: call deadline exhausted");
-    obs::flight_event(obs::FlightEvent::recovery_step, service_key_,
-                      kStepExhausted, static_cast<std::uint64_t>(attempt));
+    obs::flight_event_live(obs::FlightEvent::recovery_step, service_key_,
+                           obs::recovery_step::deadline_exhausted, attempt);
     obs::flight_auto_dump("call deadline exhausted: " + service_key_);
     corba::log::emit(corba::log::Level::warning, "ft.proxy",
                      "call deadline exhausted for '" + service_key_ +
@@ -208,8 +180,9 @@ void ProxyEngine::on_failure(const corba::SystemException& error, int attempt,
     throw;
   }
   if (delay > 0) {
-    obs::timeline_event_at(at, "proxy", service_key_,
-                           "backing off " + format_seconds(delay) + "s");
+    obs::flight_event_live(obs::FlightEvent::recovery_step, service_key_,
+                           obs::recovery_step::backoff,
+                           static_cast<std::uint64_t>(delay * 1e6));
     proxy_metrics().backoff.record(delay);
     if (config_.sleep)
       config_.sleep(delay);
@@ -246,8 +219,8 @@ void ProxyEngine::on_failure(const corba::SystemException& error, int attempt,
         }
       }
     }
-    obs::timeline_event_at(now(), "proxy", service_key_,
-                           "recovery failed; retrying with current target");
+    obs::flight_event_live(obs::FlightEvent::recovery_step, service_key_,
+                           obs::recovery_step::recovery_failed);
     corba::log::emit(corba::log::Level::warning, "ft.proxy",
                      "recovery of '" + service_key_ +
                          "' failed; retrying with the current target");
@@ -276,8 +249,8 @@ void ProxyEngine::note_success() {
       // call does not fail too.
       ++checkpoint_failures_;
       proxy_metrics().checkpoint_failures.inc();
-      obs::timeline_event_at(now(), "proxy", service_key_,
-                             "checkpoint failed; attempting relocation");
+      obs::flight_event_live(obs::FlightEvent::recovery_step, service_key_,
+                             obs::recovery_step::checkpoint_failed);
       corba::log::emit(corba::log::Level::warning, "ft.proxy",
                        "checkpoint of '" + config_.checkpoint_key +
                            "' failed; attempting relocation");
@@ -319,12 +292,8 @@ void ProxyEngine::rebind(corba::ObjectRef next, std::string host) {
   current_host_ = host.empty() ? host_of_current() : std::move(host);
   ++recoveries_;
   proxy_metrics().recoveries.inc();
-  obs::flight_event(obs::FlightEvent::recovery_step, service_key_, kStepRebound,
-                    recoveries_);
-  obs::timeline_event_at(
-      now(), "proxy", service_key_,
-      "rebound to " + (current_host_.empty() ? std::string("<unknown host>")
-                                             : current_host_));
+  obs::flight_event_live(obs::FlightEvent::recovery_step, service_key_,
+                         obs::recovery_step::rebound, recoveries_);
   if (corba::log::enabled())
     corba::log::emit(corba::log::Level::info, "ft.proxy",
                      "service '" + config_.service_name.to_string() +
@@ -336,10 +305,8 @@ void ProxyEngine::rebind(corba::ObjectRef next, std::string host) {
 void ProxyEngine::recover_now() {
   const double recovery_start = now();
   obs::Span recover_span("proxy.recover", service_key_);
-  obs::timeline_event_at(recovery_start, "proxy", service_key_,
-                         "recovery started");
-  obs::flight_event(obs::FlightEvent::recovery_step, service_key_,
-                    kStepRecover);
+  obs::flight_event_live(obs::FlightEvent::recovery_step, service_key_,
+                         obs::recovery_step::started);
   // Drain the async pipeline before anything else so the restore below sees
   // the newest checkpoint the captures can produce.
   if (pipeline_) pipeline_->flush();
@@ -371,8 +338,8 @@ void ProxyEngine::recover_now() {
           if (!(candidate.ior() == failed)) next = std::move(candidate);
         }
         if (!next.is_nil())
-          obs::timeline_event_at(now(), "proxy", service_key_,
-                                 "re-resolved to an existing offer");
+          obs::flight_event_live(obs::FlightEvent::recovery_step, service_key_,
+                                 obs::recovery_step::reresolved);
       } catch (const naming::NotFound&) {
         // No offers left; fall through to the factory if allowed.
       } catch (const corba::SystemException&) {
@@ -400,8 +367,8 @@ void ProxyEngine::recover_now() {
     next = factory.create(config_.service_type);
     next_host = factory.host();
     from_factory = true;
-    obs::timeline_event_at(now(), "proxy", service_key_,
-                           "created replacement via factory on " + next_host);
+    obs::flight_event_live(obs::FlightEvent::recovery_step, service_key_,
+                           obs::recovery_step::factory_created);
   }
 
   // 2. Restore the last checkpoint into the replacement.
@@ -409,9 +376,8 @@ void ProxyEngine::recover_now() {
     obs::Span load_span("checkpoint.load", config_.checkpoint_key);
     if (const auto checkpoint = config_.store->load(config_.checkpoint_key)) {
       set_state(next, checkpoint->state);
-      obs::timeline_event_at(
-          now(), "proxy", service_key_,
-          "restored checkpoint v" + std::to_string(checkpoint->version));
+      obs::flight_event_live(obs::FlightEvent::recovery_step, service_key_,
+                             obs::recovery_step::restored, checkpoint->version);
     }
   }
 

@@ -46,9 +46,29 @@ std::string_view to_string(FlightEvent type) noexcept {
     case FlightEvent::session_resume: return "session_resume";
     case FlightEvent::delta_fallback: return "delta_fallback";
     case FlightEvent::shard_failover: return "shard_failover";
+    case FlightEvent::fault_detected: return "fault_detected";
+    case FlightEvent::quarantine_release: return "quarantine_release";
+    case FlightEvent::checkpoint_drop: return "checkpoint_drop";
   }
   return "unknown";
 }
+
+namespace {
+
+// The one `flight.event` field layout, shared by live steps and ring dumps
+// so a subscriber can match the two copies of an event.
+void publish_flight_event(const FlightRecorder::Event& e,
+                          std::string_view reason) {
+  publish_event(
+      Topic::flight_event, /*host=*/"", /*key=*/to_string(e.type),
+      {str_field("reason", std::string(reason)),
+       str_field("type", std::string(to_string(e.type))),
+       str_field("subject", e.subject), int_field("a", e.a),
+       int_field("b", e.b), num_field("at", e.t), int_field("index", e.index),
+       int_field("trace", e.trace_id)});
+}
+
+}  // namespace
 
 FlightRecorder::FlightRecorder(std::size_t capacity)
     : capacity_(round_up_pow2(capacity < 2 ? 2 : capacity)),
@@ -63,18 +83,44 @@ FlightRecorder& FlightRecorder::global() {
 void FlightRecorder::record(FlightEvent type, std::string_view subject,
                             std::uint64_t a, std::uint64_t b) noexcept {
   if (!enabled_.load(std::memory_order_relaxed)) return;
+  // The ambient trace context tags the event (0 when untraced), so a
+  // postmortem can join the ring with an assembled trace by id.
+  record_at(now(), type, subject, a, b, current_trace().trace_id);
+}
+
+void FlightRecorder::record_live(FlightEvent type, std::string_view subject,
+                                 std::uint64_t a, std::uint64_t b) noexcept {
+  if (!enabled_.load(std::memory_order_relaxed)) return;
+  Event event;
+  event.t = now();
+  event.type = type;
+  event.a = a;
+  event.b = b;
+  event.trace_id = current_trace().trace_id;
+  event.index = record_at(event.t, type, subject, a, b, event.trace_id);
+  if (!events_wanted()) return;
+  try {
+    event.subject.assign(subject.substr(0, kSubjectCapacity));
+    publish_flight_event(event, "live");
+  } catch (...) {
+    // Telemetry must never fail the recovery step it reports.
+  }
+}
+
+std::uint64_t FlightRecorder::record_at(double t, FlightEvent type,
+                                        std::string_view subject,
+                                        std::uint64_t a, std::uint64_t b,
+                                        std::uint64_t trace) noexcept {
   const std::uint64_t index = cursor_.fetch_add(1, std::memory_order_relaxed);
   Slot& slot = slots_[index & mask_];
   // Invalidate first so a reader racing this overwrite never pairs the old
   // sequence with new payload words.
   slot.seq.store(0, std::memory_order_release);
-  slot.t.store(now(), std::memory_order_relaxed);
+  slot.t.store(t, std::memory_order_relaxed);
   slot.type.store(static_cast<std::uint16_t>(type), std::memory_order_relaxed);
   slot.a.store(a, std::memory_order_relaxed);
   slot.b.store(b, std::memory_order_relaxed);
-  // The ambient trace context tags the event (0 when untraced), so a
-  // postmortem can join the ring with an assembled trace by id.
-  slot.trace.store(current_trace().trace_id, std::memory_order_relaxed);
+  slot.trace.store(trace, std::memory_order_relaxed);
   for (std::size_t word = 0; word < slot.subject.size(); ++word) {
     std::uint64_t packed = 0;
     for (std::size_t i = 0; i < 8; ++i) {
@@ -87,6 +133,7 @@ void FlightRecorder::record(FlightEvent type, std::string_view subject,
     slot.subject[word].store(packed, std::memory_order_relaxed);
   }
   slot.seq.store(index + 1, std::memory_order_release);
+  return index;
 }
 
 void FlightRecorder::clear() noexcept {
@@ -216,16 +263,7 @@ void FlightRecorder::dump_to_events(std::string_view reason) {
   static obs::Counter& event_dumps = obs::MetricsRegistry::global().counter(
       "obs.flight.event_dumps_total");
   event_dumps.inc();
-  const std::vector<Event> all = events();
-  for (const Event& e : all) {
-    publish_event(
-        Topic::flight_event, /*host=*/"", /*key=*/to_string(e.type),
-        {str_field("reason", std::string(reason)),
-         str_field("type", std::string(to_string(e.type))),
-         str_field("subject", e.subject), int_field("a", e.a),
-         int_field("b", e.b), num_field("at", e.t), int_field("index", e.index),
-         int_field("trace", e.trace_id)});
-  }
+  for (const Event& e : events()) publish_flight_event(e, reason);
 }
 
 void flight_auto_dump(std::string_view reason) noexcept {

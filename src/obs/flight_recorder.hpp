@@ -26,6 +26,14 @@
 // in-flight calls, a proxy exhausting its retry budget, a quarantine trip.
 // With no sink installed that is one counter increment; with a sink (tests,
 // an operator's stderr hook) the rendered dump is delivered.
+//
+// Live steps: RPC traffic overwrites the ring within a few thousand calls,
+// so it cannot hold a long run's recovery history.  The operator-facing
+// steps (proxy recovery, quarantine, fault detection, dropped checkpoints)
+// go through flight_event_live, which also publishes each one on the
+// `flight.event` topic as it happens — one publication per step, and only
+// while the channel has a subscriber.  Subscribing to `flight.event` is how
+// a tool or test collects the whole recovery story.
 #pragma once
 
 #include <array>
@@ -45,9 +53,7 @@ namespace obs {
 enum class FlightEvent : std::uint16_t {
   rpc_start = 1,       ///< subject=operation, a=request id
   rpc_end = 2,         ///< subject=operation, a=request id, b=1 on exception
-  recovery_step = 3,   ///< subject=service, a=step (1=failure observed,
-                       ///< 2=recovery started, 3=rebound, 4=budget
-                       ///< exhausted), b=attempt number where meaningful
+  recovery_step = 3,   ///< subject=service, a=recovery_step code (below)
   quarantine_trip = 4, ///< subject=service, b=1 when re-armed
   checkpoint_ship = 5, ///< subject=key, a=version, b=bytes shipped
   dispatch_depth = 6,  ///< subject=operation, a=queued+executing
@@ -57,7 +63,29 @@ enum class FlightEvent : std::uint16_t {
   session_resume = 10, ///< subject=host:port, a=session id, b=frames replayed
   delta_fallback = 11, ///< subject=checkpoint key, a=acked base, b=version
   shard_failover = 12, ///< subject=shard label, a=replica index, b=version
+  fault_detected = 13, ///< subject=service (FaultDetector confirmed a fault)
+  quarantine_release = 14, ///< subject=service (healthy probes released it)
+  checkpoint_drop = 15,    ///< subject=key, a=version, b=attempts
 };
+
+/// The `a` codes of FlightEvent::recovery_step: one per step of the proxy's
+/// recovery sequence (§3: catch COMM_FAILURE, re-resolve, restore, retry).
+namespace recovery_step {
+inline constexpr std::uint64_t failure = 1;      ///< b=attempt
+inline constexpr std::uint64_t started = 2;
+inline constexpr std::uint64_t rebound = 3;      ///< b=recoveries so far
+inline constexpr std::uint64_t budget_exhausted = 4;    ///< b=attempt
+inline constexpr std::uint64_t deadline_exhausted = 5;  ///< b=attempt
+inline constexpr std::uint64_t backoff = 6;      ///< b=delay in µs
+/// A batched failure re-issued because a sibling call already recovered.
+inline constexpr std::uint64_t batched_reissue = 7;  ///< b=attempt
+inline constexpr std::uint64_t resume_exhausted = 8; ///< b=attempt
+inline constexpr std::uint64_t recovery_failed = 9;
+inline constexpr std::uint64_t checkpoint_failed = 10;  ///< relocating
+inline constexpr std::uint64_t reresolved = 11;  ///< to an existing offer
+inline constexpr std::uint64_t factory_created = 12;
+inline constexpr std::uint64_t restored = 13;    ///< b=checkpoint version
+}  // namespace recovery_step
 
 std::string_view to_string(FlightEvent type) noexcept;
 
@@ -79,6 +107,15 @@ class FlightRecorder {
   /// Appends one event (relaxed atomics only; safe from any thread).
   void record(FlightEvent type, std::string_view subject, std::uint64_t a = 0,
               std::uint64_t b = 0) noexcept;
+
+  /// record(), then — while the event channel has a subscriber — publishes
+  /// that one event on `flight.event` with the same fields and index a later
+  /// dump_to_events carries (reason "live").  For the rare operator-facing
+  /// steps (recovery, quarantine, fault detection, dropped checkpoints)
+  /// whose history must outlive the ring; publication failures are
+  /// swallowed.
+  void record_live(FlightEvent type, std::string_view subject,
+                   std::uint64_t a = 0, std::uint64_t b = 0) noexcept;
 
   /// The kill switch exists for overhead measurement (bench) and for tests
   /// that need a quiet recorder; production leaves it on.
@@ -140,7 +177,7 @@ class FlightRecorder {
   void auto_dump(std::string_view reason) noexcept;
 
   /// Publishes every retained ring event on the `flight.event` channel
-  /// topic (one event per slot: reason/type/subject/a/b/at/index fields)
+  /// topic (one event per slot: reason/type/subject/a/b/at/index/trace)
   /// and counts `obs.flight.event_dumps_total`.  No-op without channel
   /// subscribers, and re-entrant calls on one thread collapse (a dump whose
   /// publication overflows a queue would otherwise dump again forever).
@@ -152,6 +189,12 @@ class FlightRecorder {
   }
 
  private:
+  /// Writes one slot and returns the event's global index (record_live
+  /// stamps the live copy with it).
+  std::uint64_t record_at(double t, FlightEvent type, std::string_view subject,
+                          std::uint64_t a, std::uint64_t b,
+                          std::uint64_t trace) noexcept;
+
   // Per-slot seqlock: seq holds the 1-based global event index once the
   // payload stores are published; readers check it before and after reading
   // the payload and skip the slot on any mismatch.
@@ -177,9 +220,17 @@ class FlightRecorder {
 };
 
 /// Convenience wrappers over the global recorder (the runtime's call sites).
+/// flight_event is the hot-path form (rpc_*, conn_*, dispatch_depth,
+/// checkpoint_ship) and never publishes; flight_event_live is for the steps
+/// an operator follows live (FlightRecorder::record_live).
 inline void flight_event(FlightEvent type, std::string_view subject,
                          std::uint64_t a = 0, std::uint64_t b = 0) noexcept {
   FlightRecorder::global().record(type, subject, a, b);
+}
+inline void flight_event_live(FlightEvent type, std::string_view subject,
+                              std::uint64_t a = 0,
+                              std::uint64_t b = 0) noexcept {
+  FlightRecorder::global().record_live(type, subject, a, b);
 }
 void flight_auto_dump(std::string_view reason) noexcept;
 

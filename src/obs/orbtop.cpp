@@ -436,8 +436,8 @@ void PushCollector::State::apply(const Event& event) {
       assembler.add_event(event);
       break;
     default:
-      // flight.event / recovery.timeline / session.state have no table
-      // column yet; they still count as received stream traffic.
+      // flight.event / session.state have no table column yet; they still
+      // count as received stream traffic.
       break;
   }
 }

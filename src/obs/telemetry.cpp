@@ -4,32 +4,10 @@
 
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
-#include "obs/timeline.hpp"
 #include "obs/trace.hpp"
 #include "obs/trace_export.hpp"
 
 namespace obs {
-
-namespace {
-
-/// Keeps the last `limit` lines of a multi-line rendering (0 = all).
-std::string last_lines(const std::string& text, std::uint64_t limit) {
-  if (limit == 0) return text;
-  std::uint64_t seen = 0;
-  // Walk newlines from the back; a trailing newline does not count as an
-  // extra (empty) line.
-  std::size_t pos = text.size();
-  if (pos > 0 && text.back() == '\n') --pos;
-  while (pos > 0) {
-    const std::size_t nl = text.rfind('\n', pos - 1);
-    if (nl == std::string::npos) break;
-    if (++seen == limit) return text.substr(nl + 1);
-    pos = nl;
-  }
-  return text;
-}
-
-}  // namespace
 
 corba::Value event_to_value(const Event& event) {
   corba::ValueSeq out;
@@ -239,21 +217,6 @@ corba::Value TelemetryServant::dispatch(std::string_view op,
     if (format == "prometheus") return corba::Value(to_prometheus(snapshot));
     throw corba::BAD_PARAM("unknown metrics format: " + format);
   }
-  if (op == "get_spans") {
-    check_arity(op, args, 1);
-    const std::uint64_t limit = args[0].as_u64();
-    if (!options_.spans) return corba::Value(std::string());
-    return corba::Value(last_lines(options_.spans->dump(), limit));
-  }
-  if (op == "get_timeline") {
-    check_arity(op, args, 0);
-    const RecoveryTimeline* timeline = installed_timeline();
-    return corba::Value(timeline ? timeline->to_string() : std::string());
-  }
-  if (op == "get_flight_recorder") {
-    check_arity(op, args, 0);
-    return corba::Value(FlightRecorder::global().to_text());
-  }
   if (op == "health") {
     check_arity(op, args, 0);
     return health().to_value();
@@ -320,18 +283,6 @@ corba::Value TelemetryServant::subscribe(const corba::ValueSeq& args) {
 
 std::string TelemetryStub::get_metrics(const std::string& format) const {
   return call("get_metrics", {corba::Value(format)}).as_string();
-}
-
-std::string TelemetryStub::get_spans(std::uint64_t limit) const {
-  return call("get_spans", {corba::Value(limit)}).as_string();
-}
-
-std::string TelemetryStub::get_timeline() const {
-  return call("get_timeline", {}).as_string();
-}
-
-std::string TelemetryStub::get_flight_recorder() const {
-  return call("get_flight_recorder", {}).as_string();
 }
 
 HealthReport TelemetryStub::health() const {

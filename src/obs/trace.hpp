@@ -29,8 +29,8 @@ namespace obs {
 
 // --- shared clock -----------------------------------------------------------
 
-/// Installs the time source used by spans, latency metrics and the recovery
-/// timeline (seconds; the simulator installs virtual time).  Returns a token
+/// Installs the time source used by spans, latency metrics and the flight
+/// recorder (seconds; the simulator installs virtual time).  Returns a token
 /// for clear_clock().  Passing a null function restores the default
 /// (monotonic wall clock).
 std::uint64_t set_clock(std::function<double()> clock);

@@ -6,7 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
+
 #include "ft_test_common.hpp"
+#include "obs/event_channel.hpp"
+#include "obs/flight_recorder.hpp"
 #include "orb/log.hpp"
 
 namespace ft {
@@ -61,6 +65,47 @@ TEST_F(ProxyTest, CrashRecoverRestoreRetry) {
   EXPECT_EQ(engine.call("add", {corba::Value(std::int64_t{8})}).as_i64(), 50);
   EXPECT_EQ(engine.recoveries(), 1u);
   EXPECT_NE(engine.current().ior().host, victim);
+}
+
+TEST_F(ProxyTest, LiveRecoveryStepsOutlastTheFlightRing) {
+  // RPC traffic overwrites the flight ring; the recovery steps published
+  // live on `flight.event` are what keeps a run's recovery history.
+  std::vector<std::uint64_t> steps;  // live recovery_step codes, in order
+  obs::SubscribeOptions flight;
+  flight.topics = {obs::Topic::flight_event};
+  flight.queue_limit = 1 << 16;
+  obs::EventChannel::global().subscribe(
+      flight, [&steps](std::span<const obs::Event> batch) {
+        for (const obs::Event& event : batch) {
+          std::string reason;
+          std::uint64_t code = 0;
+          for (const obs::EventField& field : event.fields) {
+            if (field.name == "reason") reason = field.str;
+            if (field.name == "a") code = field.u64;
+          }
+          if (event.key == "recovery_step" && reason == "live")
+            steps.push_back(code);
+        }
+      });
+
+  ProxyEngine engine(proxy_config());
+  engine.call("add", {corba::Value(std::int64_t{40})});
+  cluster_.crash_host(engine.current().ior().host);
+  EXPECT_EQ(engine.call("add", {corba::Value(std::int64_t{2})}).as_i64(), 42);
+  ASSERT_EQ(engine.recoveries(), 1u);
+
+  obs::FlightRecorder& recorder = obs::FlightRecorder::global();
+  for (std::uint64_t i = 0; i <= obs::FlightRecorder::kDefaultCapacity; ++i)
+    recorder.record(obs::FlightEvent::rpc_start, "filler", i);
+  runtime_->events().run_until(runtime_->events().now() + 1.0);
+
+  for (const obs::FlightRecorder::Event& event : recorder.events())
+    EXPECT_NE(event.type, obs::FlightEvent::recovery_step);
+  namespace step = obs::recovery_step;
+  const std::vector<std::uint64_t> expected = {
+      step::failure,    step::backoff,  step::started,
+      step::reresolved, step::restored, step::rebound};
+  EXPECT_EQ(steps, expected);
 }
 
 TEST_F(ProxyTest, RecoveryUnbindsTheDeadOffer) {

@@ -13,8 +13,11 @@
 // for (covered in tests/ft/).
 #include <gtest/gtest.h>
 
+#include <span>
+#include <sstream>
+
+#include "obs/event_channel.hpp"
 #include "obs/flight_recorder.hpp"
-#include "obs/timeline.hpp"
 #include "obs/trace.hpp"
 #include "opt/manager.hpp"
 #include "sim/fault_injector.hpp"
@@ -27,6 +30,10 @@ constexpr double kHostSpeed = 1e5;
 class ChaosTest : public ::testing::Test {
  protected:
   rt::SimRuntime& make_runtime(int hosts = 6, double request_timeout = 0.0) {
+    // The previous run goes first: its destructor releases the global event
+    // channel, which would otherwise unbind the channel the next runtime
+    // just bound.
+    runtime_.reset();
     cluster_ = std::make_unique<sim::Cluster>();
     for (int i = 0; i < hosts; ++i)
       cluster_->add_host("node" + std::to_string(i), kHostSpeed);
@@ -34,6 +41,18 @@ class ChaosTest : public ::testing::Test {
     options.winner_stale_after = 2.5;
     options.request_timeout = request_timeout;
     runtime_ = std::make_unique<rt::SimRuntime>(*cluster_, options);
+    if (flight_stream_) {
+      // The runtime just reset the channel; subscribing here sees the run
+      // from its first event.
+      obs::SubscribeOptions flight;
+      flight.topics = {obs::Topic::flight_event};
+      flight.queue_limit = 1 << 16;
+      obs::EventChannel::global().subscribe(
+          flight, [stream = flight_stream_](std::span<const obs::Event> batch) {
+            for (const obs::Event& event : batch)
+              *stream += event.to_line() + '\n';
+          });
+    }
     runtime_->events().run_until(0.01);
     return *runtime_;
   }
@@ -116,6 +135,9 @@ class ChaosTest : public ::testing::Test {
 
   std::unique_ptr<sim::Cluster> cluster_;
   std::unique_ptr<rt::SimRuntime> runtime_;
+  /// When set, make_runtime subscribes to `flight.event` and appends every
+  /// delivered event's rendered line here.
+  std::string* flight_stream_ = nullptr;
 };
 
 TEST_F(ChaosTest, ConvergesToFailureFreeMinimizerAcrossSeeds) {
@@ -174,40 +196,51 @@ TEST_F(ChaosTest, DeltaAsyncSameSeedReproducesTraceAndResult) {
 TEST_F(ChaosTest, SameSeedRunsProduceByteIdenticalObservabilityDumps) {
   // The observability layer must obey the same reproducibility contract as
   // the computation itself: spans are stamped from the virtual clock with
-  // ids drawn from the runtime's seed, and timeline events are ordered by
-  // the event queue — so two same-seed chaos runs render byte-identical
-  // trace and recovery-timeline dumps.
+  // ids drawn from the runtime's seed, and flight events are published and
+  // delivered through the event queue — so two same-seed chaos runs render
+  // byte-identical trace dumps, flight dumps and `flight.event` streams.
   struct ObsDump {
-    std::string timeline;
+    std::string stream;
     std::string spans;
     std::string flight;
   };
   auto observed_run = [&](std::uint64_t fault_seed) {
-    obs::RecoveryTimeline timeline;
+    ObsDump dump;
     obs::SpanCollector spans;
-    obs::install_timeline(&timeline);
     spans.install();
+    flight_stream_ = &dump.stream;
     const ChaosOutcome outcome = chaos_run(fault_seed);
-    obs::install_timeline(nullptr);
     obs::set_trace_sink(nullptr);
     EXPECT_GE(outcome.result.recoveries, 1u);
     // The always-on flight recorder is cleared per SimRuntime, so its dump
     // covers exactly this run; render before the next run clears it again.
-    return ObsDump{timeline.to_string(), spans.dump(),
-                   obs::FlightRecorder::global().to_text()};
+    dump.spans = spans.dump();
+    dump.flight = obs::FlightRecorder::global().to_text();
+    // Deliver what the run published last, then stop listening.
+    runtime_->events().run_until(runtime_->events().now());
+    obs::EventChannel::global().reset();
+    flight_stream_ = nullptr;
+    return dump;
   };
 
   const ObsDump first = observed_run(11);
   const ObsDump second = observed_run(11);
-  ASSERT_FALSE(first.timeline.empty());
+  ASSERT_FALSE(first.stream.empty());
   ASSERT_FALSE(first.spans.empty());
   ASSERT_FALSE(first.flight.empty());
-  EXPECT_EQ(first.timeline, second.timeline);
+  EXPECT_EQ(first.stream, second.stream);
   EXPECT_EQ(first.spans, second.spans);
   EXPECT_EQ(first.flight, second.flight);
-  // The timeline saw the whole recovery story, not just the rebind.
-  EXPECT_NE(first.timeline.find("proxy"), std::string::npos);
-  EXPECT_NE(first.timeline.find("recovery started"), std::string::npos);
+  // The stream saw the whole recovery story live, not just the rebind.
+  const std::string started_code =
+      " a=" + std::to_string(obs::recovery_step::started) + " ";
+  bool recovery_started = false;
+  std::istringstream lines(first.stream);
+  for (std::string line; std::getline(lines, line);)
+    if (line.find("reason=live type=recovery_step ") != std::string::npos &&
+        line.find(started_code) != std::string::npos)
+      recovery_started = true;
+  EXPECT_TRUE(recovery_started);
   EXPECT_NE(first.spans.find("proxy.recover"), std::string::npos);
   EXPECT_NE(first.spans.find("servant.dispatch"), std::string::npos);
   // And the flight recorder saw RPC traffic plus the recovery steps, without

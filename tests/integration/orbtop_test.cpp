@@ -6,14 +6,18 @@
 
 #include <cctype>
 #include <chrono>
+#include <span>
 #include <string>
 #include <thread>
 
 #include "core/sim_runtime.hpp"
 #include "obs/event_channel.hpp"
+#include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
 #include "obs/orbtop.hpp"
+#include "obs/orbtrace.hpp"
 #include "obs/telemetry.hpp"
+#include "obs/trace.hpp"
 #include "orb/orb.hpp"
 
 namespace rt {
@@ -375,6 +379,62 @@ TEST(OrbtopSimClusterTest, PushCollectorStreamsShardStoreColumns) {
   EXPECT_TRUE(JsonChecker::valid(json)) << json;
   EXPECT_NE(json.find("\"shards\""), std::string::npos);
   EXPECT_NE(obs::render_table(snapshot).find("shards:"), std::string::npos);
+}
+
+TEST(OrbtraceSimClusterTest, StepSeenLiveAndInADumpJoinsTheTraceOnce) {
+  sim::Cluster cluster;
+  for (int i = 0; i < 2; ++i)
+    cluster.add_host("node" + std::to_string(i), 100.0);
+  SimRuntime runtime(cluster, RuntimeOptions{});
+  runtime.events().run_until(2.5);
+  obs::SpanCollector spans;
+  spans.install();  // tracing on: the step below carries a trace id
+  naming::NamingContextStub root = runtime.naming();
+  obs::TraceWatcher watcher(runtime.client_orb(), root);
+
+  // Every copy of the step that reaches a subscriber, counted on the side.
+  int copies = 0;
+  obs::SubscribeOptions flight;
+  flight.topics = {obs::Topic::flight_event};
+  flight.queue_limit = 1 << 16;
+  obs::EventChannel::global().subscribe(
+      flight, [&copies](std::span<const obs::Event> batch) {
+        for (const obs::Event& event : batch)
+          if (event.key == "recovery_step") ++copies;
+      });
+
+  std::uint64_t trace_id = 0;
+  {
+    obs::Span recover("proxy.recover", "Echo");
+    trace_id = recover.context().trace_id;
+    obs::flight_event_live(obs::FlightEvent::recovery_step, "Echo",
+                           obs::recovery_step::started);
+  }
+  runtime.events().run_until(runtime.events().now() + 0.5);
+  obs::flight_auto_dump("test: dump after the live copy");
+  runtime.events().run_until(runtime.events().now() + 0.5);
+  obs::set_trace_sink(nullptr);
+  ASSERT_NE(trace_id, 0u);
+  EXPECT_EQ(copies, 2);  // one live, one inside the dump
+
+  const std::vector<obs::JoinedEvent> joined = watcher.joined_events(trace_id);
+  ASSERT_EQ(joined.size(), 1u);
+  EXPECT_EQ(joined[0].text, "recovery_step Echo a=2 b=0");
+
+  obs::AssembledTrace trace;
+  trace.trace_id = trace_id;
+  for (const obs::SpanRecord& record : spans.records()) {
+    if (record.context.trace_id != trace_id) continue;
+    trace.spans.emplace_back();
+    trace.spans.back().record = record;
+  }
+  ASSERT_EQ(trace.spans.size(), 1u);
+  const std::string postmortem = obs::render_postmortem(trace, joined);
+  const std::size_t first = postmortem.find("recovery_step Echo");
+  ASSERT_NE(first, std::string::npos) << postmortem;
+  EXPECT_EQ(postmortem.find("recovery_step Echo", first + 1),
+            std::string::npos)
+      << postmortem;
 }
 
 TEST(OrbtopTcpClusterTest, PushCollectorStreamsOverRealSockets) {

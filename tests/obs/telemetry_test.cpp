@@ -7,10 +7,8 @@
 
 #include "naming/naming_context.hpp"
 #include "naming/naming_stub.hpp"
-#include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
 #include "obs/orbtop.hpp"
-#include "obs/trace.hpp"
 #include "orb/orb.hpp"
 
 namespace obs {
@@ -93,36 +91,6 @@ TEST_F(TelemetryWireTest, MetricsCrossTheWireInEveryFormat) {
   const std::string prom = telemetry.get_metrics("prometheus");
   EXPECT_NE(prom.find("orb_requests_total"), std::string::npos);
   EXPECT_THROW(telemetry.get_metrics("xml"), corba::SystemException);
-}
-
-TEST_F(TelemetryWireTest, FlightRecorderAndTimelineDumpsCrossTheWire) {
-  FlightRecorder::global().record(FlightEvent::rpc_start, "probe-op", 42);
-  TelemetryStub telemetry = install({.host = "node0"});
-  const std::string flight = telemetry.get_flight_recorder();
-  EXPECT_EQ(flight.find("flight-recorder: "), 0u);
-  EXPECT_NE(flight.find("probe-op"), std::string::npos);
-  // No timeline installed: empty, not an error.
-  EXPECT_EQ(telemetry.get_timeline(), "");
-}
-
-TEST_F(TelemetryWireTest, SpansRespectTheLimit) {
-  SpanCollector spans;
-  spans.install();
-  { Span a("test.alpha"); }
-  { Span b("test.beta"); }
-  { Span c("test.gamma"); }
-  set_trace_sink(nullptr);
-
-  TelemetryOptions options;
-  options.host = "node0";
-  options.spans = &spans;
-  TelemetryStub telemetry = install(std::move(options));
-  const std::string all = telemetry.get_spans(0);
-  EXPECT_NE(all.find("test.alpha"), std::string::npos);
-  EXPECT_NE(all.find("test.gamma"), std::string::npos);
-  const std::string last = telemetry.get_spans(1);
-  EXPECT_EQ(last.find("test.alpha"), std::string::npos);
-  EXPECT_NE(last.find("test.gamma"), std::string::npos);
 }
 
 TEST_F(TelemetryWireTest, HealthMergesCallbacksAndMetrics) {

@@ -5,7 +5,8 @@
 // TCP half of the orbtrace pipeline (the sim half is
 // tests/integration/trace_stream_test.cpp).  Runs under the tsan label:
 // span recording on client and transport threads races the exporter's
-// batching and the channel worker.
+// batching and the channel worker, and live flight steps recorded on
+// several threads race the channel worker's pushes.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -16,6 +17,7 @@
 #include "naming/naming_context.hpp"
 #include "naming/naming_stub.hpp"
 #include "obs/event_channel.hpp"
+#include "obs/flight_recorder.hpp"
 #include "obs/orbtrace.hpp"
 #include "obs/trace.hpp"
 #include "obs/trace_export.hpp"
@@ -93,6 +95,69 @@ TEST_F(TracePushTcpTest, SpansCrossTheWireAndAssembleIntoCallTrees) {
 
   // Teardown order: consumer subscriptions, then the channel, then the ORBs
   // (no in-flight push may outlive the consumer's transport).
+  EventChannel::global().reset();
+  watcher_orb->shutdown();
+  server->shutdown();
+}
+
+TEST_F(TracePushTcpTest, LiveStepsFromManyThreadsJoinTheirTracesOnce) {
+  auto server =
+      corba::ORB::init({.endpoint_name = "beta", .enable_tcp = true});
+  auto [root_servant, root_ref] =
+      naming::NamingContextServant::create_root(server);
+  obs::install_telemetry(server, *root_servant, {.host = "beta"});
+  auto watcher_orb =
+      corba::ORB::init({.endpoint_name = "watcher2", .enable_tcp = true});
+  naming::NamingContextStub root(
+      watcher_orb->string_to_object(server->object_to_string(root_ref)));
+  TraceWatcher watcher(watcher_orb, root);
+  FlightRecorder::global().clear();  // the dump below stays under one queue
+
+  // Each thread records one traced recovery step while the channel worker
+  // is already pushing the earlier ones.
+  constexpr int kThreads = 4;
+  std::vector<std::uint64_t> trace_ids(kThreads, 0);
+  SpanCollector spans;
+  spans.install();
+  {
+    std::vector<std::thread> threads;
+    for (int i = 0; i < kThreads; ++i) {
+      threads.emplace_back([i, &trace_ids] {
+        const std::string service = "svc" + std::to_string(i);
+        Span recover("proxy.recover", service);
+        trace_ids[i] = recover.context().trace_id;
+        flight_event_live(FlightEvent::recovery_step, service,
+                          recovery_step::started);
+      });
+    }
+    for (std::thread& thread : threads) thread.join();
+  }
+  set_trace_sink(nullptr);
+  // Every step now reaches the watcher a second time, inside the dump.
+  flight_auto_dump("test: dump after the live copies");
+  EventChannel::global().flush();
+  std::uint64_t delivered = 0;
+  for (const SubscriberStats& stats : EventChannel::global().stats())
+    delivered += stats.delivered;
+  EXPECT_GE(delivered, 2u * kThreads);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (watcher.events_received() < delivered) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+        << "received " << watcher.events_received() << " of " << delivered;
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+
+  for (int i = 0; i < kThreads; ++i) {
+    ASSERT_NE(trace_ids[i], 0u);
+    const std::vector<JoinedEvent> joined = watcher.joined_events(trace_ids[i]);
+    ASSERT_EQ(joined.size(), 1u) << "svc" << i;
+    EXPECT_EQ(joined[0].text, "recovery_step svc" + std::to_string(i) +
+                                  " a=" +
+                                  std::to_string(recovery_step::started) +
+                                  " b=0");
+  }
+
   EventChannel::global().reset();
   watcher_orb->shutdown();
   server->shutdown();

@@ -7,17 +7,16 @@
 // checkpoints, quarantine state and dispatch queue depth — all collected
 // in-band over the same GIOP-lite wire the application uses.
 //
-// Watch mode is push-first: it subscribes an EventConsumer through every
-// node's telemetry servant and re-renders from the live event stream — zero
-// polling RPCs after the subscription.  Nodes without an event channel (or
-// --poll) fall back to the classic poll loop.
+// Watch mode subscribes an EventConsumer through every node's telemetry
+// servant and re-renders from the live event stream — zero polling RPCs
+// after the subscription.  Should the subscription fail, it falls back to
+// collecting health() from every node each interval.
 //
 //   orbtop --ior <IOR:...>        naming service reference
 //   orbtop --ior-file <path>      ... read from a file instead
 //   orbtop --watch <seconds>      refresh continuously (enables RPC/s)
 //   orbtop --json                 machine-readable snapshot(s); includes
 //                                 "transport": "poll"|"push"
-//   orbtop --poll                 force poll mode even when push works
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -38,7 +37,7 @@ namespace {
 int usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s (--ior <IOR:...> | --ior-file <path>) "
-               "[--watch <seconds>] [--json] [--poll]\n",
+               "[--watch <seconds>] [--json]\n",
                argv0);
   return 2;
 }
@@ -68,7 +67,6 @@ int main(int argc, char** argv) {
   std::string ior;
   double watch = 0.0;
   bool json = false;
-  bool force_poll = false;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--ior" && i + 1 < argc) {
@@ -88,8 +86,6 @@ int main(int argc, char** argv) {
       }
     } else if (arg == "--json") {
       json = true;
-    } else if (arg == "--poll") {
-      force_poll = true;
     } else {
       return usage(argv[0]);
     }
@@ -105,7 +101,7 @@ int main(int argc, char** argv) {
     // Push applies to watch mode only: a single-shot run would tear the
     // subscription down before the first event could arrive.
     std::unique_ptr<obs::PushCollector> push;
-    if (watch > 0 && !force_poll) {
+    if (watch > 0) {
       try {
         push = std::make_unique<obs::PushCollector>(orb, root);
       } catch (const std::exception& error) {
