@@ -32,7 +32,7 @@ SimRuntime::SimRuntime(sim::Cluster& cluster, RuntimeOptions options)
   // renders a byte-identical event stream.  Sequence numbers restart from
   // zero with the run (reset()).
   obs::EventChannel::global().reset();
-  obs::EventChannel::global().bind(
+  channel_token_ = obs::EventChannel::global().bind(
       {.defer = [&events = cluster_.events()](double delay,
                                               std::function<void()> fn) {
         events.schedule_after(delay, std::move(fn));
@@ -291,8 +291,9 @@ SimRuntime::~SimRuntime() {
   if (trace_exporter_) trace_exporter_->uninstall();
   // Release the channel before the virtual clock: queued-but-undelivered
   // events die with the run, and a later runtime (or a TCP deployment in
-  // the same process) starts from a fresh bind.
-  obs::EventChannel::global().reset();
+  // the same process) starts from a fresh bind.  Token-checked like the
+  // clock: a runtime built before this one died owns the channel now.
+  obs::EventChannel::global().reset(channel_token_);
   obs::clear_clock(obs_clock_token_);
 }
 

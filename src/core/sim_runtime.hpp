@@ -288,6 +288,7 @@ class SimRuntime {
   /// Token of the virtual observability clock this runtime installed; the
   /// destructor only clears its own installation.
   std::uint64_t obs_clock_token_ = 0;
+  std::uint64_t channel_token_ = 0;  ///< EventChannel::bind's, for reset
   /// Virtual-clock metrics producer (metrics_epoch > 0); stopped before the
   /// event queue is torn down.
   std::unique_ptr<obs::MetricsDeltaPublisher> metrics_publisher_;

@@ -168,7 +168,7 @@ EventChannel& EventChannel::global() {
   return channel;
 }
 
-void EventChannel::bind(Options options) {
+std::uint64_t EventChannel::bind(Options options) {
   std::unique_lock lock(mu_);
   if (bound_ && subscriber_count_.load(std::memory_order_relaxed) > 0) {
     throw std::logic_error(
@@ -179,6 +179,7 @@ void EventChannel::bind(Options options) {
   options_ = std::move(options);
   if (options_.max_batch == 0) options_.max_batch = 1;
   bound_ = true;
+  return ++bind_token_;
 }
 
 void EventChannel::unbind() {
@@ -479,6 +480,14 @@ void EventChannel::reset() {
   std::lock_guard lock(mu_);
   seq_ = 0;
   next_id_ = 1;
+}
+
+void EventChannel::reset(std::uint64_t token) {
+  {
+    std::lock_guard lock(mu_);
+    if (token != bind_token_) return;  // someone else bound since
+  }
+  reset();
 }
 
 void publish_event(Topic topic, std::string_view host, std::string_view key,

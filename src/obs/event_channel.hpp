@@ -170,7 +170,8 @@ class EventChannel {
   /// Installs the delivery executor and opens the channel for subscribe().
   /// Throws std::logic_error when already bound with live subscribers (two
   /// runtimes fighting over the global channel is a bug worth surfacing).
-  void bind(Options options);
+  /// Returns a token for reset(token).
+  std::uint64_t bind(Options options);
   /// Drops every subscriber, joins the worker, and closes the channel.
   /// Idempotent; pending deferred drains become no-ops.
   void unbind();
@@ -205,6 +206,11 @@ class EventChannel {
   /// Per-run determinism: drops every subscriber and restarts the sequence
   /// counter (SimRuntime calls this on the global channel per run).
   void reset();
+  /// reset() iff `token` (from bind()) names the current binding — the
+  /// install-token rule of obs::set_clock/clear_clock: an owner that dies
+  /// after a successor bound the channel leaves the successor's binding
+  /// alone.
+  void reset(std::uint64_t token);
 
  private:
   struct Subscriber {
@@ -246,6 +252,7 @@ class EventChannel {
   /// Bumped by unbind()/reset(); pending deferred drains from an older
   /// generation are no-ops (their subscriber is gone anyway).
   std::uint64_t generation_ = 0;
+  std::uint64_t bind_token_ = 0;  ///< bumped by every bind()
   std::uint64_t next_id_ = 1;
   std::uint64_t seq_ = 0;
   std::vector<std::shared_ptr<Subscriber>> subscribers_;

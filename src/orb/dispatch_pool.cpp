@@ -20,8 +20,9 @@ struct PoolMetrics {
   obs::Histogram& queue_depth = obs::MetricsRegistry::global().histogram(
       "orb.dispatch_pool.queue_depth",
       {0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024});
-  /// Time a request sat queued before a worker picked it up — the "where
-  /// does latency come from" attribution for a saturated pool.
+  /// Time a decoded request waited before its servant started: queued for
+  /// a worker, or claimed by an I/O loop until its event batch ended — the
+  /// "where does latency come from" attribution for a saturated pool.
   obs::Histogram& queue_wait = obs::MetricsRegistry::global().histogram(
       "orb.dispatch_pool.queue_wait_s");
 };
@@ -40,7 +41,27 @@ double pool_monotonic_seconds() {
       .count();
 }
 
+/// Key-table size past which idle entries (and their run profiles) are
+/// dropped; a dropped key goes back to "never run" and is timed afresh.
+constexpr std::size_t kKeyTableLimit = 4096;
+
+thread_local ServantRun* t_current_run = nullptr;
+
 }  // namespace
+
+ServantRun::ServantRun(Hook before_call_out, void* arg) noexcept
+    : hook_(before_call_out), arg_(arg), previous_(t_current_run) {
+  t_current_run = this;
+}
+
+ServantRun::~ServantRun() { t_current_run = previous_; }
+
+void ServantRun::note_call_out() {
+  ServantRun* run = t_current_run;
+  if (!run || run->called_out_) return;
+  if (run->hook_) run->hook_(run->arg_);
+  run->called_out_ = true;
+}
 
 DispatchPool::DispatchPool(Options options, Dispatch dispatch)
     : options_(options), dispatch_(std::move(dispatch)) {
@@ -60,7 +81,7 @@ bool DispatchPool::try_submit(RequestMessage& request, Completion& done) {
   if (stopping_)
     throw BAD_INV_ORDER("dispatch pool is stopped", minor_code::unspecified,
                         CompletionStatus::completed_no);
-  if (in_pool_ >= options_.queue_limit) {
+  if (in_pool_.load(std::memory_order_relaxed) >= options_.queue_limit) {
     space_wanted_ = true;  // arm the edge: ring once when capacity frees up
     return false;
   }
@@ -73,11 +94,48 @@ void DispatchPool::set_space_callback(std::function<void()> callback) {
   space_callback_ = std::move(callback);
 }
 
+bool DispatchPool::try_claim(const ObjectKey& key) {
+  if (in_pool_.load(std::memory_order_relaxed) != 0) return false;
+  std::lock_guard lock(mu_);
+  if (stopping_ || in_pool_.load(std::memory_order_relaxed) != 0) return false;
+  const auto it = keys_.find(key);
+  if (it == keys_.end()) return false;
+  KeyState& state = it->second;
+  if (state.active || state.calls_out || state.last_run_s < 0 ||
+      state.last_run_s >= kInlineBudget)
+    return false;
+  state.active = true;
+  return true;
+}
+
+void DispatchPool::release_claim(const ObjectKey& key, double waited_s,
+                                 double run_s, bool called_out) {
+  pool_metrics().queue_wait.record(std::max(0.0, waited_s));
+  std::lock_guard lock(mu_);
+  const auto it = keys_.find(key);
+  if (it != keys_.end()) finish_run_locked(it->second, run_s, called_out);
+}
+
+void DispatchPool::finish_run_locked(KeyState& state, double run_s,
+                                     bool called_out) {
+  state.last_run_s = run_s;
+  state.calls_out = state.calls_out || called_out;
+  if (state.waiting.empty()) {
+    state.active = false;
+  } else {
+    // FIFO per key: the next job for this key becomes runnable only now
+    // that its predecessor finished.
+    ready_.push_back(&state);
+    work_cv_.notify_one();
+  }
+}
+
 void DispatchPool::enqueue_locked(RequestMessage request, Completion done) {
-  ++in_pool_;
-  pool_metrics().queue_depth.record(static_cast<double>(in_pool_));
+  const std::size_t depth =
+      in_pool_.fetch_add(1, std::memory_order_relaxed) + 1;
+  pool_metrics().queue_depth.record(static_cast<double>(depth));
   obs::flight_event(obs::FlightEvent::dispatch_depth, request.operation,
-                    in_pool_);
+                    depth);
   Job job{std::move(request), std::move(done), pool_monotonic_seconds()};
   if (obs::tracing_enabled()) {
     // Queue wait is attributable only for traced requests that carried a
@@ -87,12 +145,22 @@ void DispatchPool::enqueue_locked(RequestMessage request, Completion done) {
       job.trace_enqueued_at = obs::now();
     }
   }
-  auto [it, inserted] = keys_.try_emplace(job.request.object_key);
-  it->second.waiting.push_back(std::move(job));
+  auto it = keys_.find(job.request.object_key);
+  if (it == keys_.end()) {
+    if (keys_.size() >= kKeyTableLimit)
+      std::erase_if(keys_, [](const auto& entry) {
+        return !entry.second.active && entry.second.waiting.empty();
+      });
+    it = keys_.try_emplace(job.request.object_key).first;
+  }
+  KeyState& state = it->second;
+  state.waiting.push_back(std::move(job));
   // A key becomes runnable when its first job arrives; while a worker is
-  // executing the key stays out of ready_ (the worker re-queues it).
-  if (inserted) {
-    ready_.push_back(it->first);
+  // executing it, or an I/O loop holds its claim, the key stays out of
+  // ready_ (the worker or release_claim re-queues it).
+  if (!state.active) {
+    state.active = true;
+    ready_.push_back(&state);
     work_cv_.notify_one();
   }
 }
@@ -116,8 +184,7 @@ void DispatchPool::stop() {
 }
 
 std::size_t DispatchPool::depth() const {
-  std::lock_guard lock(mu_);
-  return in_pool_;
+  return in_pool_.load(std::memory_order_relaxed);
 }
 
 std::uint64_t DispatchPool::dispatched() const {
@@ -129,19 +196,19 @@ void DispatchPool::worker_loop() {
   std::unique_lock lock(mu_);
   for (;;) {
     work_cv_.wait(lock, [this] {
-      return !ready_.empty() || (stopping_ && in_pool_ == 0);
+      return !ready_.empty() ||
+             (stopping_ && in_pool_.load(std::memory_order_relaxed) == 0);
     });
     if (ready_.empty()) return;  // stopping and fully drained
-    ObjectKey key = std::move(ready_.front());
+    KeyState& state = *ready_.front();
     ready_.pop_front();
     const bool backlog = !ready_.empty();
-    auto it = keys_.find(key);
-    Job job = std::move(it->second.waiting.front());
-    it->second.waiting.pop_front();
+    Job job = std::move(state.waiting.front());
+    state.waiting.pop_front();
 
     pool_metrics().inflight.add(1);
-    pool_metrics().queue_wait.record(
-        std::max(0.0, pool_monotonic_seconds() - job.enqueued_at));
+    const double started = pool_monotonic_seconds();
+    pool_metrics().queue_wait.record(std::max(0.0, started - job.enqueued_at));
     if (job.trace.valid() && obs::tracing_enabled()) {
       // The queue-wait interval as a span, parented on the wire context —
       // it lands beside the request's servant.dispatch span in the
@@ -150,7 +217,14 @@ void DispatchPool::worker_loop() {
                        job.trace_enqueued_at, obs::now(), job.trace);
     }
     lock.unlock();
-    ReplyMessage reply = dispatch_(job.request);
+    ReplyMessage reply;
+    bool called_out = false;
+    {
+      ServantRun run;
+      reply = dispatch_(job.request);
+      called_out = run.called_out();
+    }
+    const double run_s = pool_monotonic_seconds() - started;
     if (job.request.response_expected && job.done) {
       try {
         job.done(std::move(reply), backlog);
@@ -163,24 +237,16 @@ void DispatchPool::worker_loop() {
     pool_metrics().inflight.add(-1);
     pool_metrics().dispatched.inc();
     ++dispatched_;
-    --in_pool_;
-
-    it = keys_.find(key);
-    if (it->second.waiting.empty()) {
-      keys_.erase(it);
-    } else {
-      // FIFO per key: the next job for this key becomes runnable only now
-      // that its predecessor finished.
-      ready_.push_back(key);
-      work_cv_.notify_one();
-    }
-    if (space_wanted_ && in_pool_ < options_.queue_limit) {
+    const std::size_t left =
+        in_pool_.fetch_sub(1, std::memory_order_relaxed) - 1;
+    finish_run_locked(state, run_s, called_out);
+    if (space_wanted_ && left < options_.queue_limit) {
       // Cheap by contract (an eventfd write), so holding mu_ here is fine
       // and keeps the arm/ring sequence race-free.
       space_wanted_ = false;
       if (space_callback_) space_callback_();
     }
-    if (stopping_ && in_pool_ == 0) work_cv_.notify_all();
+    if (stopping_ && left == 0) work_cv_.notify_all();
   }
 }
 

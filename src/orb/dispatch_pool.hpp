@@ -13,6 +13,16 @@
 // unconstrained, which is why replies carry request ids (the client transport
 // demuxes them; see tcp_transport.hpp).
 //
+// Inline claims: an I/O loop may run a request itself instead of paying the
+// thread hop to a worker and back.  try_claim() grants that only while the
+// pool has no job queued or running, no job for the key is claimed, queued
+// or running, and the key's last timed run took less than kInlineBudget
+// without calling out.  A claimed key sits in the same key table as queued
+// work, so a request for it that arrives meanwhile (on any loop) queues
+// behind the claim; release_claim() makes it runnable.  Every run on the
+// TCP path — worker or inline — is timed and watched for outbound calls
+// (ServantRun), which is what the next claim decision reads.
+//
 // The queue is bounded: try_submit() refuses work once `queue_limit`
 // requests are in the pool (queued + executing) and rings the space
 // callback when capacity frees up.  The reactor answers a refusal by
@@ -21,6 +31,7 @@
 // backpressure instead of unbounded memory growth.
 #pragma once
 
+#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
@@ -33,6 +44,37 @@
 #include "orb/message.hpp"
 
 namespace corba {
+
+/// The servant run in progress on this thread on the TCP path: a pool
+/// worker's job or a request an I/O loop runs inline.  While one is
+/// installed, TcpClientTransport::send reports every outbound call through
+/// note_call_out(), so the pool learns which objects call out, and a loop
+/// running a servant inline hands itself off to a fresh thread before the
+/// servant blocks on a nested call.
+class ServantRun {
+ public:
+  /// Runs on the calling thread before the run's first outbound call; may
+  /// throw, failing that call.
+  using Hook = void (*)(void* arg);
+
+  explicit ServantRun(Hook before_call_out = nullptr,
+                      void* arg = nullptr) noexcept;
+  ~ServantRun();
+  ServantRun(const ServantRun&) = delete;
+  ServantRun& operator=(const ServantRun&) = delete;
+
+  /// Flags the run installed on this thread, if any, as calling out; the
+  /// first time, runs its hook first.
+  static void note_call_out();
+
+  bool called_out() const noexcept { return called_out_; }
+
+ private:
+  Hook hook_;
+  void* arg_;
+  bool called_out_ = false;
+  ServantRun* previous_;
+};
 
 class DispatchPool {
  public:
@@ -55,6 +97,11 @@ class DispatchPool {
   /// batched write instead of written at once.
   using Completion = std::function<void(ReplyMessage, bool backlog)>;
 
+  /// A key whose last timed run took less than this may run inline on the
+  /// I/O loop that read its request (DESIGN.md §6.7 gives the reason for
+  /// the value).
+  static constexpr double kInlineBudget = 50e-6;
+
   DispatchPool(Options options, Dispatch dispatch);
   ~DispatchPool();
 
@@ -66,6 +113,20 @@ class DispatchPool {
   /// the pool is at queue_limit, and arms the space callback so the caller
   /// is poked once capacity frees up.  Throws BAD_INV_ORDER after stop().
   bool try_submit(RequestMessage& request, Completion& done);
+
+  /// Claims `key` for the caller to run inline when the pool has no job
+  /// queued or running, no job for `key` is claimed, queued or running, and
+  /// the key's last timed run took less than kInlineBudget and made no
+  /// outbound call.  A key never run yet is never claimed.  The caller must
+  /// run the request and then call release_claim().
+  bool try_claim(const ObjectKey& key);
+
+  /// Ends a claim: records the run (how long the request waited between
+  /// its claim and the servant starting, how long the servant ran, and
+  /// whether it called out) and makes the jobs that queued behind the claim
+  /// runnable.
+  void release_claim(const ObjectKey& key, double waited_s, double run_s,
+                     bool called_out);
 
   /// Installs the capacity notification used by try_submit: invoked (at
   /// most once per failed-try_submit episode) when the pool drops back
@@ -98,24 +159,38 @@ class DispatchPool {
     obs::TraceContext trace{};
     double trace_enqueued_at = 0.0;
   };
-  /// Per-object-key FIFO.  Present in keys_ iff it has waiting jobs or a
-  /// worker is executing its head job.
-  struct KeyQueue {
+  /// Per-object-key FIFO plus what the claim decision reads.  Entries
+  /// outlive their jobs (the run profile must), and idle ones are pruned
+  /// once the table passes kKeyTableLimit.
+  struct KeyState {
     std::deque<Job> waiting;
+    /// In ready_, executing on a worker, or claimed by an I/O loop.
+    bool active = false;
+    /// A run of this key made an outbound TCP call: never claimed again.
+    bool calls_out = false;
+    /// Duration of the key's last timed run (seconds); negative until the
+    /// first run finishes.
+    double last_run_s = -1.0;
   };
 
   void worker_loop();
   void enqueue_locked(RequestMessage request, Completion done);
+  /// Records a finished run and makes the key's next job runnable (mu_
+  /// held).
+  void finish_run_locked(KeyState& state, double run_s, bool called_out);
 
   Options options_;
   Dispatch dispatch_;
 
   mutable std::mutex mu_;
   std::condition_variable work_cv_;  ///< workers wait for runnable keys
-  std::unordered_map<ObjectKey, KeyQueue, ObjectKeyHash> keys_;
-  /// Keys with a runnable (not currently executing) head job, FIFO.
-  std::deque<ObjectKey> ready_;
-  std::size_t in_pool_ = 0;  ///< queued + executing
+  std::unordered_map<ObjectKey, KeyState, ObjectKeyHash> keys_;
+  /// Keys with a runnable (not currently executing) head job, FIFO.  Active
+  /// entries are never pruned, and unordered_map nodes do not move.
+  std::deque<KeyState*> ready_;
+  /// Queued + executing (claims not counted).  Written under mu_; read
+  /// without it by try_claim's early out.
+  std::atomic<std::size_t> in_pool_{0};
   std::uint64_t dispatched_ = 0;
   bool stopping_ = false;
   /// True after a try_submit bounced off queue_limit; cleared when the

@@ -89,7 +89,7 @@ class ObjectAdapter {
   /// Drains and joins the pool.  Idempotent, safe without a pool.
   void stop_dispatch_pool();
 
-  /// The pool, or nullptr when dispatch is inline.
+  /// The pool, or nullptr before enable_dispatch_pool (no TCP endpoint).
   DispatchPool* dispatch_pool() const noexcept { return pool_.get(); }
 
  private:

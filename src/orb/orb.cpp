@@ -96,6 +96,8 @@ std::shared_ptr<ORB> ORB::init(OrbConfig config) {
     throw BAD_PARAM("OrbConfig.endpoint_name must not be empty");
   if (!config.network && !config.client_transport_override && !config.enable_tcp)
     throw BAD_PARAM("OrbConfig requires a network, transport override or TCP");
+  if (config.enable_tcp && config.dispatch_threads < 1)
+    throw BAD_PARAM("OrbConfig.dispatch_threads must be >= 1 with TCP");
   auto orb = std::shared_ptr<ORB>(new ORB(std::move(config)));
   orb->start();
   return orb;
@@ -120,7 +122,7 @@ void ORB::start() {
     profile.port = 0;
   }
   adapter_ = std::make_shared<ObjectAdapter>(std::move(profile));
-  if (config_.enable_tcp && config_.dispatch_threads > 0)
+  if (config_.enable_tcp)
     adapter_->enable_dispatch_pool(
         {config_.dispatch_threads, config_.dispatch_queue_limit});
   if (tcp_server_) tcp_server_->start(adapter_);

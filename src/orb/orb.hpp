@@ -93,7 +93,8 @@ struct OrbConfig {
   std::uint64_t adapter_id = 0;
 
   /// Enable a real TCP endpoint (epoll reactor receive side; servant
-  /// execution on the adapter's dispatch pool).
+  /// execution on the adapter's dispatch pool, or inline on the reactor
+  /// loop for fast servants).
   bool enable_tcp = false;
   std::string tcp_host = "127.0.0.1";
   std::uint16_t tcp_port = 0;  ///< 0 selects an ephemeral port
@@ -102,9 +103,11 @@ struct OrbConfig {
   /// soft socket cap and resumable sessions (see TcpClientOptions).
   TcpClientOptions tcp_client{};
 
-  /// Worker threads executing TCP requests (FIFO per object key).
-  /// 0 dispatches inline on the reactor's I/O thread that read the request,
-  /// so a slow servant stalls every connection on that loop.
+  /// Worker threads executing TCP requests (FIFO per object key); >= 1,
+  /// BAD_PARAM otherwise.  While the pool is idle, a request for an object
+  /// whose last run took under DispatchPool::kInlineBudget and made no
+  /// outbound call runs on the reactor loop that read it instead (no thread
+  /// hop); everything else runs here.
   std::size_t dispatch_threads = 4;
   /// Requests queued + executing before the reactor stops reading the
   /// connections whose requests it cannot place (backpressure).

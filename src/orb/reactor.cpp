@@ -21,6 +21,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <system_error>
 #include <unordered_map>
 
 #include "obs/metrics.hpp"
@@ -45,6 +46,12 @@ struct ReactorMetrics {
       "transport.tcp.reply_flushes_total");
   obs::Counter& idle_harvested = obs::MetricsRegistry::global().counter(
       "transport.tcp.reactor.idle_harvested_total");
+  /// Requests an I/O loop ran itself instead of handing them to the pool.
+  obs::Counter& inline_runs =
+      obs::MetricsRegistry::global().counter("orb.dispatch.inline_total");
+  /// Loops handed to a fresh thread because an inline servant called out.
+  obs::Counter& handoffs = obs::MetricsRegistry::global().counter(
+      "orb.dispatch.loop_handoffs_total");
   obs::Gauge& registered = obs::MetricsRegistry::global().gauge(
       "transport.tcp.epoll_registered");
   /// Shared with the client transport: process-wide open TCP connections
@@ -95,6 +102,10 @@ std::vector<std::byte> encode_reply_frame(const ReplyMessage& reply) {
 
 }  // namespace
 
+/// Connections holding reply frames queued by inline runs; the thread that
+/// ran them writes each one once afterwards.
+using ReplyBurst = std::vector<std::shared_ptr<ReactorConn>>;
+
 /// One reactor-owned server connection.  Read-side state (buffer, session,
 /// stalled request) is touched only by the owning I/O thread; the write side
 /// (pending-write queue, epoll interest mask) is shared with dispatch-pool
@@ -125,11 +136,24 @@ class ReactorConn final : public std::enable_shared_from_this<ReactorConn> {
   /// waits for the I/O loop to run, never for another servant.  Once the
   /// reactor has stopped there is no loop to list on, and the frame is
   /// written at once.
-  void send_frame_bytes(std::vector<std::byte> bytes,
-                        bool hold = false) noexcept {
+  ///
+  /// `burst` (an inline run's reply) queues the frame with no syscall and
+  /// no wake and lists the connection in `burst`, whose owner writes it
+  /// with write_burst() after its runs; it takes precedence over `hold`.
+  void send_frame_bytes(std::vector<std::byte> bytes, bool hold = false,
+                        ReplyBurst* burst = nullptr) noexcept {
     std::lock_guard lock(wmu_);
     if (dead_.load(std::memory_order_acquire)) return;
     wq_.push_back(std::move(bytes));
+    if (burst) {
+      // A listed connection already has a write coming that covers this
+      // frame (the lister writes after its last queued frame).
+      if (!burst_listed_) {
+        burst_listed_ = true;
+        burst->push_back(shared_from_this());
+      }
+      return;
+    }
     if (hold && (flush_listed_ ||
                  reactor_->list_flush(loop_index_, shared_from_this()))) {
       flush_listed_ = true;
@@ -141,12 +165,21 @@ class ReactorConn final : public std::enable_shared_from_this<ReactorConn> {
   /// Encodes a sessionless reply straight into its frame and queues it.
   /// (The session path goes through write_session_reply, which keeps a copy
   /// for the replay buffer.)
-  void write_reply(const ReplyMessage& reply, bool hold) noexcept {
+  void write_reply(const ReplyMessage& reply, bool hold,
+                   ReplyBurst* burst = nullptr) noexcept {
     try {
-      send_frame_bytes(encode_reply_frame(reply), hold);
+      send_frame_bytes(encode_reply_frame(reply), hold, burst);
     } catch (...) {
       // Encoding failed: nothing sensible to do from a completion thread.
     }
+  }
+
+  /// Writes the frames queued while listed in a burst (one sendmsg unless
+  /// the queue outgrows kMaxIov or the socket fills).
+  void write_burst() noexcept {
+    std::lock_guard lock(wmu_);
+    burst_listed_ = false;
+    if (!is_dead()) flush_locked();
   }
 
   /// True once a write failed or the peer vanished; a dead connection
@@ -262,6 +295,8 @@ class ReactorConn final : public std::enable_shared_from_this<ReactorConn> {
   bool registered_ = false;
   /// On the loop's flush list: held frames already have a flush coming.
   bool flush_listed_ = false;
+  /// In some thread's inline reply burst: likewise.
+  bool burst_listed_ = false;
   std::atomic<bool> dead_{false};
   std::atomic<double> last_activity_{0.0};
 };
@@ -275,10 +310,11 @@ namespace {
 /// on.  Holding the session mutex across assignment and queueing keeps reply
 /// wire order equal to reply seq order per session — the client's cumulative
 /// highest-reply bookkeeping (and therefore replay) depends on it.  `hold`
-/// as in ReactorConn::send_frame_bytes.
+/// and `burst` as in ReactorConn::send_frame_bytes.
 void write_session_reply(const std::shared_ptr<ServerSession>& session,
                          const std::shared_ptr<ReactorConn>& fallback,
-                         ReplyMessage reply, bool hold) noexcept {
+                         ReplyMessage reply, bool hold,
+                         ReplyBurst* burst = nullptr) noexcept {
   try {
     // Lock order: session->mu, then the connection's wmu_ (inside
     // send_frame_bytes), then its loop's mu (when the reply is held).
@@ -298,7 +334,7 @@ void write_session_reply(const std::shared_ptr<ServerSession>& session,
     if (!connection) connection = fallback;
     if (!connection || connection->is_dead())
       return;  // buffered; the replay will deliver it
-    connection->send_frame_bytes(std::move(frame), hold);
+    connection->send_frame_bytes(std::move(frame), hold, burst);
   } catch (...) {
     // Encoding failed: nothing sensible to do from a completion thread.
   }
@@ -373,34 +409,45 @@ bool note_session_request(const std::shared_ptr<ServerSession>& session,
   return true;
 }
 
-/// Hands a request to the adapter's dispatch pool or, with no pool
-/// (dispatch_threads = 0), runs it inline on the calling I/O thread.
-/// Returns false — leaving `request`/`done` untouched — when the pool is
-/// full; throws BAD_INV_ORDER once the pool is stopped.
-bool try_dispatch(ObjectAdapter& adapter, RequestMessage& request,
-                  DispatchPool::Completion& done) {
-  if (DispatchPool* pool = adapter.dispatch_pool())
-    return pool->try_submit(request, done);
-  ReplyMessage reply = adapter.dispatch(request);
-  if (request.response_expected && done) done(std::move(reply), false);
-  return true;
+void write_burst(ReplyBurst& burst) noexcept {
+  for (const auto& conn : burst) conn->write_burst();
+  burst.clear();
 }
 
 }  // namespace
 
-/// Per-I/O-thread state.  `conns`, `stalled` and the deadline wheel belong
-/// to the owning thread; `pending_adds`/`pending_reaps`/`flushes` are the
-/// cross-thread handoff, guarded by `mu` and signalled through the wake
-/// eventfd.
+/// A request whose key the loop claimed from the pool, run after the event
+/// batch.  The session is captured at claim time: the connection's
+/// read-side state belongs to the loop, which a hand-off passes on.
+struct Reactor::InlineJob {
+  RequestMessage request;
+  std::shared_ptr<ReactorConn> conn;
+  std::shared_ptr<ServerSession> session;
+  double claimed_at = 0.0;  ///< monotonic_seconds(); the run's queue wait
+};
+
+/// One thread's inline runs after a batch: the ServantRun hook's argument.
+struct Reactor::InlineBatch {
+  Reactor& reactor;
+  Loop& loop;
+  ReplyBurst& burst;
+  bool handed_off = false;
+};
+
+/// Per-I/O-loop state.  `conns`, `stalled`, `inline_jobs` and the deadline
+/// wheel belong to the thread running the loop; `pending_adds`/
+/// `pending_reaps`/`flushes` are the cross-thread handoff, guarded by `mu`
+/// and signalled through the wake eventfd.
 struct Reactor::Loop {
   std::size_t index = 0;
   int epfd = -1;
   int wake_fd = -1;
   int timer_fd = -1;
-  std::thread thread;
 
   std::unordered_map<int, std::shared_ptr<ReactorConn>> conns;  ///< by fd
   std::vector<std::shared_ptr<ReactorConn>> stalled;
+  /// Requests claimed for inline runs during the current batch.
+  std::vector<InlineJob> inline_jobs;
   /// Parked requests whose connection was reaped while the pool was still
   /// full; retried (ahead of `stalled`) on the next space callback so their
   /// replies reach the session replay buffer.
@@ -412,6 +459,11 @@ struct Reactor::Loop {
   bool listen_paused = false;  ///< loop 0: EMFILE backoff in progress
 
   std::mutex mu;
+  /// The thread running the loop, plus threads that handed it off and are
+  /// finishing their batch; joined by stop().
+  std::vector<std::thread> threads;
+  /// Handed-off threads that have finished; the next hand-off joins them.
+  std::vector<std::thread::id> retired;
   std::vector<std::shared_ptr<ReactorConn>> pending_adds;
   std::vector<int> pending_reaps;
   /// Connections with held reply frames, flushed after the event batch.
@@ -429,10 +481,12 @@ Reactor::Reactor(int listen_fd, std::shared_ptr<ObjectAdapter> adapter,
                  SessionTable& sessions, ReactorOptions options)
     : listen_fd_(listen_fd),
       adapter_(std::move(adapter)),
+      pool_(adapter_ ? adapter_->dispatch_pool() : nullptr),
       sessions_(sessions),
       options_(options) {
   if (options_.io_threads < 1)
     throw BAD_PARAM("reactor requires >= 1 io thread");
+  if (!pool_) throw BAD_PARAM("reactor requires an adapter with a dispatch pool");
 }
 
 Reactor::~Reactor() {
@@ -472,8 +526,10 @@ void Reactor::start() {
   ev.events = EPOLLIN;
   ev.data.fd = listen_fd_;
   ::epoll_ctl(loops_[0]->epfd, EPOLL_CTL_ADD, listen_fd_, &ev);
-  for (auto& loop : loops_)
-    loop->thread = std::thread([this, raw = loop.get()] { io_loop(*raw); });
+  for (auto& loop : loops_) {
+    std::lock_guard lock(loop->mu);
+    loop->threads.emplace_back([this, raw = loop.get()] { io_loop(*raw); });
+  }
 }
 
 void Reactor::stop() {
@@ -481,8 +537,20 @@ void Reactor::stop() {
   stopped_ = true;
   stopping_.store(true, std::memory_order_release);
   for (auto& loop : loops_) wake(*loop);
-  for (auto& loop : loops_)
-    if (loop->thread.joinable()) loop->thread.join();
+  for (auto& loop : loops_) {
+    // A thread finishing a handed-off batch can still add its successor
+    // (which sees stopping_ and exits), so join until none is left.
+    for (;;) {
+      std::thread thread;
+      {
+        std::lock_guard lock(loop->mu);
+        if (loop->threads.empty()) break;
+        thread = std::move(loop->threads.back());
+        loop->threads.pop_back();
+      }
+      thread.join();
+    }
+  }
   for (auto& loop : loops_) {
     // Replies held for a loop that has exited still drain: write them here,
     // and have later completions write theirs directly.
@@ -566,6 +634,10 @@ void Reactor::request_reap(std::size_t loop_index, int fd) noexcept {
 
 void Reactor::io_loop(Loop& loop) {
   std::vector<epoll_event> events(256);
+  // This thread's inline runs, swapped out of the loop after each batch so
+  // that a hand-off leaves nothing loop-owned in use.
+  std::vector<InlineJob> claimed;
+  ReplyBurst burst;
   while (!stopping_.load(std::memory_order_acquire)) {
     const int n =
         ::epoll_wait(loop.epfd, events.data(), static_cast<int>(events.size()),
@@ -633,8 +705,81 @@ void Reactor::io_loop(Loop& loop) {
     if (woken) handle_wake(loop);
     if (loop.retry_submits.exchange(false, std::memory_order_acq_rel))
       retry_stalled(loop);
+    bool owns_loop = true;
+    if (!loop.inline_jobs.empty()) {
+      claimed.swap(loop.inline_jobs);
+      owns_loop = run_inline(loop, claimed, burst);
+    }
     reactor_metrics().loop_lag.record(monotonic_seconds() - batch_started);
+    if (!owns_loop) {
+      // A servant's outbound call handed the loop to a fresh thread.
+      std::lock_guard lock(loop.mu);
+      loop.retired.push_back(std::this_thread::get_id());
+      return;
+    }
   }
+}
+
+bool Reactor::run_inline(Loop& loop, std::vector<InlineJob>& jobs,
+                         ReplyBurst& burst) {
+  InlineBatch batch{*this, loop, burst};
+  for (InlineJob& job : jobs) {
+    const double started = monotonic_seconds();
+    ReplyMessage reply;
+    bool called_out = false;
+    {
+      ServantRun run(&Reactor::hand_off, &batch);
+      reply = adapter_->dispatch(job.request);
+      called_out = run.called_out();
+    }
+    const double finished = monotonic_seconds();
+    reactor_metrics().inline_runs.inc();  // counted before its reply leaves
+    if (job.request.response_expected) {
+      // After a hand-off this thread no longer owns a loop, and a later
+      // job's nested call may block it: write each reply at once, so no
+      // connection waits on this batch's burst.
+      ReplyBurst* const out = batch.handed_off ? nullptr : &burst;
+      if (job.session)
+        write_session_reply(job.session, job.conn, std::move(reply), false,
+                            out);
+      else
+        job.conn->write_reply(reply, false, out);
+    }
+    pool_->release_claim(job.request.object_key, started - job.claimed_at,
+                         finished - started, called_out);
+  }
+  jobs.clear();
+  write_burst(burst);
+  return !batch.handed_off;
+}
+
+void Reactor::hand_off(void* arg) {
+  auto& batch = *static_cast<InlineBatch*>(arg);
+  if (batch.handed_off) return;
+  Loop& loop = batch.loop;
+  try {
+    std::lock_guard lock(loop.mu);
+    // Threads that finished an earlier handed-off batch are joined here, so
+    // a long-lived server keeps at most a few.
+    for (const std::thread::id id : loop.retired) {
+      const auto it = std::find_if(
+          loop.threads.begin(), loop.threads.end(),
+          [id](const std::thread& thread) { return thread.get_id() == id; });
+      if (it == loop.threads.end()) continue;  // stop() has it
+      it->join();
+      loop.threads.erase(it);
+    }
+    loop.retired.clear();
+    loop.threads.emplace_back(
+        [reactor = &batch.reactor, raw = &loop] { reactor->io_loop(*raw); });
+  } catch (const std::system_error& e) {
+    throw TRANSIENT(std::string("I/O loop hand-off failed: ") + e.what(),
+                    minor_code::unspecified, CompletionStatus::completed_no);
+  }
+  batch.handed_off = true;
+  reactor_metrics().handoffs.inc();
+  // Replies already computed must not wait for the nested call.
+  write_burst(batch.burst);
 }
 
 void Reactor::handle_accept(Loop& loop) {
@@ -731,7 +876,7 @@ void Reactor::salvage_stalled(Loop& loop, ReactorConn& conn) {
   ReactorConn::StalledJob job = std::move(*conn.stalled_);
   conn.stalled_.reset();
   try {
-    if (try_dispatch(*adapter_, job.request, job.done)) return;
+    if (pool_->try_submit(job.request, job.done)) return;
   } catch (const Exception&) {
     return;  // pool stopped: the endpoint is going down
   }
@@ -911,6 +1056,11 @@ bool Reactor::handle_frame(Loop& loop,
 bool Reactor::submit_request(Loop& loop,
                              const std::shared_ptr<ReactorConn>& conn,
                              RequestMessage request) {
+  if (pool_->try_claim(request.object_key)) {
+    loop.inline_jobs.push_back(
+        {std::move(request), conn, conn->session_, monotonic_seconds()});
+    return true;
+  }
   DispatchPool::Completion done;
   if (request.response_expected) {
     if (conn->session_)
@@ -923,7 +1073,7 @@ bool Reactor::submit_request(Loop& loop,
       };
   }
   try {
-    if (try_dispatch(*adapter_, request, done)) return true;
+    if (pool_->try_submit(request, done)) return true;
   } catch (const Exception&) {
     return false;  // pool stopped: the endpoint is going down
   }
@@ -947,7 +1097,7 @@ void Reactor::retry_stalled(Loop& loop) {
   while (!loop.orphans.empty()) {
     ReactorConn::StalledJob& job = loop.orphans.front();
     try {
-      if (!try_dispatch(*adapter_, job.request, job.done))
+      if (!pool_->try_submit(job.request, job.done))
         return;  // still full: the next space callback retries everything
     } catch (const Exception&) {
       // pool stopped: the endpoint is going down, drop the job
@@ -961,8 +1111,8 @@ void Reactor::retry_stalled(Loop& loop) {
     if (conn->is_dead() || !conn->stalled_) continue;
     bool accepted = false;
     try {
-      accepted = try_dispatch(*adapter_, conn->stalled_->request,
-                              conn->stalled_->done);
+      accepted = pool_->try_submit(conn->stalled_->request,
+                                   conn->stalled_->done);
     } catch (const Exception&) {
       reap_conn(loop, conn);
       continue;

@@ -14,6 +14,16 @@
 // contract relies on) is preserved because completions enqueue under one
 // mutex.
 //
+// Inline dispatch: a decoded request whose key DispatchPool::try_claim
+// grants (pool idle, key free, last run under kInlineBudget, no outbound
+// calls) is not handed to a worker: the loop runs it itself after the event
+// batch, once it holds no loop-owned state, queues each reply without a
+// syscall, and then writes every connection it answered on with one
+// sendmsg.  A servant that makes an outbound TCP call from such a run first
+// hands the loop to a fresh thread (ServantRun's hook): the new thread keeps
+// serving the loop's connections — a callback into this server included —
+// while the old one finishes its batch and exits.
+//
 // Reply bursts: a completion whose worker saw other jobs runnable when it
 // picked its request up (DispatchPool's `backlog`) only queues its frame and
 // lists the connection on its loop, ringing the eventfd when the list was
@@ -53,6 +63,7 @@
 
 namespace corba {
 
+class DispatchPool;
 class ObjectAdapter;
 class ReactorConn;
 
@@ -69,6 +80,7 @@ struct ReactorOptions {
 
 /// One server endpoint's event-driven receive side (see file comment).
 /// Owned by TcpServerEndpoint; borrows its listen fd and session table.
+/// The adapter must have its dispatch pool enabled (BAD_PARAM otherwise).
 class Reactor {
  public:
   Reactor(int listen_fd, std::shared_ptr<ObjectAdapter> adapter,
@@ -81,12 +93,12 @@ class Reactor {
   /// Spawns the io_threads event loops (loop 0 owns the listen socket).
   void start();
 
-  /// Wakes and joins every loop, writes the replies held for them, then
-  /// releases the connections.  Sockets with replies still queued on
-  /// dispatch-pool completions stay open until the last completion drops
-  /// its reference, and completions finishing during or after stop write
-  /// their replies directly, so replies already computed still drain.
-  /// Idempotent.
+  /// Wakes and joins every loop thread (handed-off ones included), writes
+  /// the replies held for them, then releases the connections.  Sockets
+  /// with replies still queued on dispatch-pool completions stay open until
+  /// the last completion drops its reference, and completions finishing
+  /// during or after stop write their replies directly, so replies already
+  /// computed still drain.  Idempotent.
   void stop();
 
   /// DispatchPool space callback: wakes every loop to retry stalled
@@ -97,8 +109,20 @@ class Reactor {
  private:
   friend class ReactorConn;
   struct Loop;
+  struct InlineJob;
+  struct InlineBatch;
 
   void io_loop(Loop& loop);
+  /// Runs the requests claimed during a batch, then writes each connection
+  /// they answered on once.  Returns false when a servant's outbound call
+  /// handed the loop to a fresh thread: the caller then no longer owns the
+  /// loop and must exit.
+  bool run_inline(Loop& loop, std::vector<InlineJob>& jobs,
+                  std::vector<std::shared_ptr<ReactorConn>>& burst);
+  /// ServantRun hook (`arg` is the InlineBatch): before the first outbound
+  /// call of an inline run, starts a new thread on the loop and writes the
+  /// replies the batch has queued so far.
+  static void hand_off(void* arg);
   void handle_accept(Loop& loop);
   void handle_wake(Loop& loop);
   void handle_timer(Loop& loop);
@@ -110,10 +134,10 @@ class Reactor {
   bool handle_frame(Loop& loop, const std::shared_ptr<ReactorConn>& conn,
                     const MessageHeader& header,
                     std::span<const std::byte> body);
-  /// Hands one decoded request to the dispatch pool; on a full pool stashes
-  /// it, disarms EPOLLIN and joins the loop's stalled list (returns true —
-  /// stalling is not an error).  Returns false only when dispatch is
-  /// impossible (pool stopped).
+  /// Claims one decoded request for an inline run or hands it to the
+  /// dispatch pool; on a full pool stashes it, disarms EPOLLIN and joins the
+  /// loop's stalled list (returns true — stalling is not an error).  Returns
+  /// false only when dispatch is impossible (pool stopped).
   bool submit_request(Loop& loop, const std::shared_ptr<ReactorConn>& conn,
                       RequestMessage request);
   void retry_stalled(Loop& loop);
@@ -144,6 +168,7 @@ class Reactor {
 
   const int listen_fd_;
   std::shared_ptr<ObjectAdapter> adapter_;
+  DispatchPool* const pool_;  ///< the adapter's; outlives the reactor
   SessionTable& sessions_;
   const ReactorOptions options_;
   std::vector<std::unique_ptr<Loop>> loops_;

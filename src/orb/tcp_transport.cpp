@@ -16,6 +16,7 @@
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "orb/dispatch_pool.hpp"
 #include "orb/exceptions.hpp"
 #include "orb/reactor.hpp"
 
@@ -960,6 +961,9 @@ void TcpClientTransport::drop_connection(
 
 std::unique_ptr<PendingReply> TcpClientTransport::send(const IOR& target,
                                                        RequestMessage request) {
+  // A servant that an I/O loop runs inline hands the loop off here, before
+  // it can block on a reply that loop would have to read.
+  ServantRun::note_call_out();
   std::string trace_detail;
   if (obs::tracing_enabled())
     trace_detail = request.operation + " -> " + target.host + ":" +

@@ -22,10 +22,11 @@
 // TcpServerOptions::io_threads event loops serving any number of
 // non-blocking connections, frames assembled incrementally and handed to
 // the object adapter's bounded dispatch thread pool (dispatch_pool.hpp).
-// The receive side only reads and decodes frames; servant execution happens
-// on the dispatch pool, whose completions write replies back — possibly out
-// of order — serialized per connection.  Requests for one object stay FIFO;
-// requests for different objects and connections do not block each other.
+// Servants run on the dispatch pool, whose completions write replies back —
+// possibly out of order — serialized per connection, or, when the pool is
+// idle and the object's last run was fast, inline on the loop that read
+// the request.  Requests for one object stay FIFO; requests for different
+// objects and connections do not block each other.
 #pragma once
 
 #include <atomic>

@@ -30,9 +30,8 @@ constexpr double kHostSpeed = 1e5;
 class ChaosTest : public ::testing::Test {
  protected:
   rt::SimRuntime& make_runtime(int hosts = 6, double request_timeout = 0.0) {
-    // The previous run goes first: its destructor releases the global event
-    // channel, which would otherwise unbind the channel the next runtime
-    // just bound.
+    // The previous run goes first: it still refers to the cluster replaced
+    // below.
     runtime_.reset();
     cluster_ = std::make_unique<sim::Cluster>();
     for (int i = 0; i < hosts; ++i)

@@ -5,6 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+#include <span>
+#include <string>
+#include <vector>
+
+#include "obs/event_channel.hpp"
+
 namespace rt {
 namespace {
 
@@ -157,6 +165,28 @@ TEST_F(RuntimeTest, StalenessDetectsDeadHosts) {
   const std::string best = runtime.winner_impl()->best_host(
       std::vector<std::string>{"node1", "node2"});
   EXPECT_EQ(best, "node2");
+}
+
+TEST_F(RuntimeTest, RuntimeBuiltBeforeItsPredecessorDiesKeepsTheEventChannel) {
+  // The next runtime is built while the previous one still lives (the way
+  // `runtime = std::make_unique<SimRuntime>(...)` replaces one): the late
+  // destructor must leave the successor's channel binding alone.
+  sim::Cluster next_cluster;
+  for (int i = 0; i < 4; ++i)
+    next_cluster.add_host("node" + std::to_string(i), 100.0);
+  auto previous = std::make_unique<SimRuntime>(cluster_);
+  SimRuntime next(next_cluster);
+  previous.reset();
+
+  std::vector<std::string> received;
+  obs::EventChannel::global().subscribe(
+      {.topics = {obs::Topic::flight_event}},
+      [&](std::span<const obs::Event> batch) {
+        for (const obs::Event& event : batch) received.push_back(event.key);
+      });
+  obs::publish_event(obs::Topic::flight_event, "node0", "probe", {});
+  next.events().run_until(next.events().now() + 1.0);
+  EXPECT_EQ(std::count(received.begin(), received.end(), "probe"), 1);
 }
 
 }  // namespace

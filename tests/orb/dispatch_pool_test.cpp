@@ -1,6 +1,6 @@
 // DispatchPool unit tests: FIFO-per-key ordering, cross-key parallelism,
-// bounded-queue refusal with its space callback, and drain-on-stop
-// semantics.
+// bounded-queue refusal with its space callback, drain-on-stop semantics,
+// and the inline-claim rule.
 #include "orb/dispatch_pool.hpp"
 
 #include <gtest/gtest.h>
@@ -247,6 +247,115 @@ TEST(DispatchPoolTest, OnewayGetsNoCompletion) {
   pool.stop();
   EXPECT_FALSE(completed.load());
   EXPECT_EQ(pool.dispatched(), 1u);
+}
+
+/// Runs one job for `key` on the pool and waits until the pool is idle, so
+/// the key's run profile is recorded.
+void run_once(DispatchPool& pool, std::string_view key, std::uint64_t id) {
+  std::atomic<bool> done{false};
+  submit(pool, request_for(key, id),
+         [&](ReplyMessage, bool) { done.store(true); });
+  const auto deadline = std::chrono::steady_clock::now() + 5s;
+  while ((!done.load() || pool.depth() != 0) &&
+         std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(1ms);
+}
+
+/// Runs pool jobs for `key` until one is timed under the inline budget
+/// (run times are wall clock: a cold or sanitized run can read slow), and
+/// returns with the key unclaimed and claimable.
+bool make_claimable(DispatchPool& pool, std::string_view key) {
+  for (std::uint64_t id = 100; id < 200; ++id) {
+    run_once(pool, key, id);
+    if (pool.try_claim(key_of(key))) {
+      pool.release_claim(key_of(key), 0.0, 1e-6, /*called_out=*/false);
+      return true;
+    }
+  }
+  return false;
+}
+
+TEST(DispatchPoolTest, ClaimNeedsAFastTimedRunAndAnIdlePool) {
+  std::atomic<bool> hold{false};
+  std::atomic<bool> held{false};
+  DispatchPool pool({.threads = 1}, [&](const RequestMessage& req) {
+    if (req.object_key == key_of("gate"))
+      while (hold.load()) {
+        held.store(true);
+        std::this_thread::sleep_for(1ms);
+      }
+    return ReplyMessage::make_result(req.request_id, Value());
+  });
+  EXPECT_FALSE(pool.try_claim(key_of("a"))) << "never run";
+  ASSERT_TRUE(make_claimable(pool, "a"));
+  ASSERT_TRUE(pool.try_claim(key_of("a")));
+  EXPECT_FALSE(pool.try_claim(key_of("a"))) << "already claimed";
+  pool.release_claim(key_of("a"), 0.0, 1e-6, /*called_out=*/false);
+  ASSERT_TRUE(pool.try_claim(key_of("a")));
+  pool.release_claim(key_of("a"), 0.0, 2 * DispatchPool::kInlineBudget, false);
+  EXPECT_FALSE(pool.try_claim(key_of("a"))) << "last run over budget";
+  // A pool run timed under budget makes it eligible again.
+  ASSERT_TRUE(make_claimable(pool, "a"));
+
+  // Any pool job queued or running rules every claim out.
+  hold.store(true);
+  submit(pool, request_for("gate", 3));
+  while (!held.load()) std::this_thread::sleep_for(1ms);
+  EXPECT_FALSE(pool.try_claim(key_of("a"))) << "pool busy";
+  hold.store(false);
+  pool.stop();
+  EXPECT_FALSE(pool.try_claim(key_of("a"))) << "pool stopped";
+}
+
+TEST(DispatchPoolTest, KeyThatCalledOutIsNeverClaimedAgain) {
+  DispatchPool pool({.threads = 1}, [](const RequestMessage& req) {
+    return ReplyMessage::make_result(req.request_id, Value());
+  });
+  ASSERT_TRUE(make_claimable(pool, "a"));
+  ASSERT_TRUE(pool.try_claim(key_of("a")));
+  pool.release_claim(key_of("a"), 0.0, 1e-6, /*called_out=*/true);
+  run_once(pool, "a", 2);
+  EXPECT_FALSE(pool.try_claim(key_of("a")));
+}
+
+TEST(DispatchPoolTest, PoolRunThatCallsOutFlagsItsKey) {
+  DispatchPool pool({.threads = 1}, [](const RequestMessage& req) {
+    if (req.request_id == 2) ServantRun::note_call_out();
+    return ReplyMessage::make_result(req.request_id, Value());
+  });
+  ASSERT_TRUE(make_claimable(pool, "a"));
+  run_once(pool, "a", 2);
+  EXPECT_FALSE(pool.try_claim(key_of("a")));
+}
+
+TEST(DispatchPoolTest, JobsQueuedBehindAClaimRunAfterItsRelease) {
+  std::mutex mu;
+  std::vector<std::uint64_t> ran;
+  DispatchPool pool({.threads = 2}, [&](const RequestMessage& req) {
+    std::lock_guard lock(mu);
+    ran.push_back(req.request_id);
+    return ReplyMessage::make_result(req.request_id, Value());
+  });
+  ASSERT_TRUE(make_claimable(pool, "a"));
+  ASSERT_TRUE(pool.try_claim(key_of("a")));
+  {
+    std::lock_guard lock(mu);
+    ran.clear();
+  }
+  submit(pool, request_for("a", 2));
+  submit(pool, request_for("b", 3));  // another key is not held up
+  const auto deadline = std::chrono::steady_clock::now() + 5s;
+  while (pool.depth() != 1 && std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(1ms);
+  std::this_thread::sleep_for(20ms);
+  {
+    std::lock_guard lock(mu);
+    EXPECT_EQ(ran, (std::vector<std::uint64_t>{3}))
+        << "a job ran while its key was claimed";
+  }
+  pool.release_claim(key_of("a"), 0.0, 1e-6, false);
+  pool.stop();
+  EXPECT_EQ(ran, (std::vector<std::uint64_t>{3, 2}));
 }
 
 }  // namespace
